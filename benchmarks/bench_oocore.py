@@ -4,7 +4,7 @@ End-to-end proof of the storage tier: a synthetic n = 1,000,000-node
 directed graph (out-degree 3, sub-critical cascade probabilities) is
 written to the binary RCSR format, then a **child process** memory-maps
 it, streams 1.8 million RR sets into byte-budgeted memory-mapped
-segments, and solves plain greedy at k = 50 — while its peak resident
+segments, and solves lazy greedy at k = 50 — while its peak resident
 set size is required to stay under :data:`MEMORY_BUDGET`, which is
 itself required to be at most half the analytic footprint the flat
 in-RAM path would pin for the same state.
@@ -117,7 +117,12 @@ def _flat_footprint_bytes(num_sets: int, total_entries: int) -> int:
 
 
 def _child_solve(rcsr_path: str) -> dict:
-    """Budgeted phase: mmap-load, sample segmented, solve greedy k=50."""
+    """Budgeted phase: mmap-load, sample segmented, solve greedy k=50.
+
+    The solve takes the default block-lazy loop: round 0 folds the whole
+    1M-candidate pool across every segment once, and later rounds
+    rescore only the few items whose stale bounds still reach the top.
+    """
     from benchmarks._common import peak_rss_bytes
     from repro.core.baselines import greedy_utility
     from repro.graphs.io import read_csr_graph
@@ -137,7 +142,7 @@ def _child_solve(rcsr_path: str) -> dict:
     # the greedy phase runs against the RR segments alone.
     graph.release()
     t0 = time.perf_counter()
-    result = greedy_utility(objective, K, lazy=False)
+    result = greedy_utility(objective, K)
     solve_s = time.perf_counter() - t0
     storage = objective.storage_info()
     return {

@@ -15,18 +15,31 @@ All variants also serve as the *greedy submodular cover* inner loop: pass
 (Wolsey's greedy for submodular cover — see :mod:`repro.core.cover`).
 
 Every loop drives the oracle through the *batch* API
-(:meth:`GroupedObjective.gains_batch` + :meth:`Scalarizer.gain_batch`):
-plain, stochastic and threshold greedy score their whole candidate pool
-once per round with a single vectorized call, and CELF seeds its priority
-queue with one batched pass before entering the heap. Selection is
-unchanged — each round picks the same item (ties toward the lowest id)
-the per-item loops would, so Saturate, greedy cover and both BSM
-algorithms inherit the fast path with identical solutions.
+(:meth:`GroupedObjective.gains_batch` + :meth:`Scalarizer.gain_batch`)
+and never calls the single-item :meth:`GroupedObjective.gains`.
+
+Plain and lazy greedy are one *block-lazy* loop (:func:`greedy_max`).
+It keeps three arrays over the candidate pool: ``ub``, an upper bound
+on each item's marginal gain; ``fresh``, whether the item has been
+rescored this round; and ``alive``, whether it is still unselected.
+Each round rescores, in one batched call, the top ``block`` (by bound)
+of the alive stale items whose bound exceeds the best fresh gain minus
+:data:`GAIN_EPS`, then doubles ``block`` and repeats until no stale
+item is left in that band. Every item that could still tie the best is
+then fresh, and the round selects by the *band rule*: the sequential
+``gain > best + GAIN_EPS`` scan (:func:`_scan_best`) over the band's
+items in ascending id order. This is the fixed point the per-item CELF
+heap reached with its epsilon-band tie replay, so Saturate, greedy
+cover and both BSM algorithms keep their solutions. ``lazy=False`` is
+the same loop with the whole pool rescored every round. Round 0 scores
+the whole pool, round 1 opens with a block of ``isqrt(n)`` items, and
+every later round opens with a block as large as the number of items
+the previous round had to rescore.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -69,8 +82,10 @@ def greedy_max(
         Stop as soon as the scalar value reaches this target (submodular
         cover mode). ``None`` runs to the budget.
     lazy:
-        Use the CELF priority queue. Correct for submodular scalarizations
-        because stale upper bounds only overestimate gains.
+        Trust stale upper bounds between rounds (lazy-forward / CELF).
+        Correct for submodular scalarizations because stale bounds only
+        overestimate gains. ``False`` rescores the whole pool every
+        round; both settings select the same items.
 
     Returns
     -------
@@ -80,38 +95,69 @@ def greedy_max(
     check_positive_int(budget, "budget")
     if state is None:
         state = objective.new_state()
-    cand = _candidate_list(objective, candidates, state)
     steps: list[GreedyStep] = []
     weights = objective.group_weights
     value = scalarizer.value(state.group_values, weights)
     if stop_value is not None and value >= stop_value - tolerance:
         return state, steps
-    if lazy:
-        _lazy_loop(
-            objective, scalarizer, budget, state, cand, stop_value, steps,
-            tolerance,
-        )
-    else:
-        _plain_loop(
-            objective, scalarizer, budget, state, cand, stop_value, steps,
-            tolerance,
-        )
+    items = _candidate_items(objective, candidates, state)
+    ub = np.full(items.size, np.inf)  # upper bound on each item's gain
+    alive = np.ones(items.size, dtype=bool)  # not selected yet
+    fresh = np.zeros(items.size, dtype=bool)  # rescored this round
+    block = items.size  # round 0 has no bounds: score the whole pool
+    while len(steps) < budget:
+        if not lazy:
+            block = items.size
+        fresh[:] = False
+        best = -np.inf
+        replaced = []  # the bounds this round's rescoring overwrote
+        while True:
+            stale = np.flatnonzero(alive & ~fresh & (ub > best - GAIN_EPS))
+            if stale.size == 0:
+                break
+            if stale.size > block:
+                top = np.argpartition(ub[stale], stale.size - block)
+                stale = np.sort(stale[top[stale.size - block:]])
+            gains = _pool_gains(objective, scalarizer, state, items[stale], weights)
+            replaced.append(ub[stale])
+            ub[stale] = gains
+            fresh[stale] = True
+            best = max(best, float(gains.max()))
+            block *= 2
+        band = np.flatnonzero(alive & (ub > best - GAIN_EPS))
+        pos, gain = _scan_best(band, ub[band])
+        if pos < 0:
+            break  # no item improves the objective: greedy is saturated
+        alive[pos] = False
+        objective.add(state, int(items[pos]))
+        value = scalarizer.value(state.group_values, weights)
+        steps.append(GreedyStep(int(items[pos]), gain, value))
+        if stop_value is not None and value >= stop_value - tolerance:
+            break
+        if len(steps) == 1:
+            # Round 0's bounds say nothing about how many items round 1
+            # must rescore: open at the geometric middle of 1 and n.
+            block = math.isqrt(items.size)
+        else:
+            # Open with the number of items this round had to rescore
+            # (their old bounds reached into its band); the next round
+            # likely needs about as many.
+            old = np.concatenate(replaced)
+            block = max(1, int(np.count_nonzero(old > best - GAIN_EPS)))
     return state, steps
 
 
-def _candidate_list(
+def _candidate_items(
     objective: GroupedObjective,
     candidates: Optional[Iterable[int]],
     state: ObjectiveState,
-) -> "np.ndarray | list[int]":
+) -> np.ndarray:
+    """Unselected candidates as a sorted, duplicate-free int64 array."""
     if candidates is None:
-        # Whole ground set: stay vectorized — at a million items a
-        # Python int list costs tens of MB and the loops below never
-        # need one (same values, same ascending order).
-        return np.flatnonzero(~state.in_solution).astype(np.int64)
-    return [
-        int(v) for v in candidates if not state.in_solution[int(v)]
-    ]
+        pool = np.arange(objective.num_items, dtype=np.int64)
+    else:
+        pool = np.unique(np.fromiter(candidates, dtype=np.int64))
+    return pool[~state.in_solution[pool]]
 
 
 def _pool_gains(
@@ -172,146 +218,6 @@ def _scan_best(items: Sequence[int], gains: np.ndarray) -> tuple[int, float]:
     if best_idx < 0:
         return -1, 0.0
     return int(items[best_idx]), best_gain
-
-
-def _plain_loop(
-    objective: GroupedObjective,
-    scalarizer: Scalarizer,
-    budget: int,
-    state: ObjectiveState,
-    cand: "np.ndarray | list[int]",
-    stop_value: Optional[float],
-    steps: list[GreedyStep],
-    tolerance: float,
-) -> None:
-    weights = objective.group_weights
-    # Sorted candidate order makes ties break toward the lowest item id,
-    # the same order the lazy heap uses — keeps the variants comparable.
-    # (np.unique == sorted(set(...)) — kept as an array so a million-item
-    # pool costs one int64 vector per round, not a Python set.)
-    remaining = np.unique(np.asarray(cand, dtype=np.int64))
-    for _ in range(budget):
-        if remaining.size == 0:
-            break
-        gains = _pool_gains(objective, scalarizer, state, remaining, weights)
-        best_item, best_gain = _scan_best(remaining, gains)
-        if best_item < 0:
-            break  # no item improves the objective: greedy is saturated
-        objective.add(state, best_item)
-        remaining = remaining[remaining != best_item]
-        value = scalarizer.value(state.group_values, weights)
-        steps.append(GreedyStep(best_item, best_gain, value))
-        if stop_value is not None and value >= stop_value - tolerance:
-            break
-
-
-def _resolve_ties(
-    objective: GroupedObjective,
-    scalarizer: Scalarizer,
-    state: ObjectiveState,
-    weights: np.ndarray,
-    heap: list[tuple[float, int]],
-    fresh: dict[int, int],
-    round_no: int,
-    best_item: int,
-    best_gain: float,
-) -> tuple[int, int | float]:
-    """Settle an epsilon-band tie at the top of the CELF heap.
-
-    Pops every entry whose cached bound could still tie with
-    ``best_gain`` (rescoring stale ones), then replays the plain loop's
-    sequential lowest-id scan over the contenders. Losers go back on the
-    heap with fresh bounds. No-ops (one peek) when the top is clear of
-    the band — the common case.
-    """
-    contenders = [(best_item, best_gain)]
-    while heap and -heap[0][0] > best_gain - GAIN_EPS:
-        neg_ub, item = heapq.heappop(heap)
-        if state.in_solution[item]:
-            continue
-        if fresh[item] != round_no:
-            gain = scalarizer.gain(
-                state.group_values, objective.gains(state, item), weights
-            )
-            fresh[item] = round_no
-            heapq.heappush(heap, (-gain, item))
-            continue
-        contenders.append((item, -neg_ub))
-    if len(contenders) == 1:
-        return best_item, best_gain
-    contenders.sort()
-    winner, winner_gain = -1, 0.0
-    for item, gain in contenders:
-        if gain > winner_gain + GAIN_EPS:
-            winner, winner_gain = item, gain
-    for item, gain in contenders:
-        if item != winner:
-            heapq.heappush(heap, (-gain, item))
-    return winner, winner_gain
-
-
-def _lazy_loop(
-    objective: GroupedObjective,
-    scalarizer: Scalarizer,
-    budget: int,
-    state: ObjectiveState,
-    cand: "np.ndarray | list[int]",
-    stop_value: Optional[float],
-    steps: list[GreedyStep],
-    tolerance: float,
-) -> None:
-    weights = objective.group_weights
-    if len(cand) == 0:
-        return
-    # Heap of (-upper_bound, item). CELF must evaluate every item at least
-    # once against the starting solution anyway, so the re-seeding pass
-    # scores the whole pool with one batched call and enters the heap with
-    # exact round-0 bounds (the classic variant pushes -inf bounds and
-    # pays n Python round-trips to reach the same heap).
-    seed_gains = _pool_gains(objective, scalarizer, state, cand, weights)
-    heap: list[tuple[float, int]] = [
-        (-float(gain), int(item)) for item, gain in zip(cand, seed_gains)
-    ]
-    heapq.heapify(heap)
-    fresh: dict[int, int] = {
-        int(item): 0 for item in cand
-    }  # round of last eval
-    round_no = 0
-    while round_no < budget and heap:
-        while heap:
-            neg_ub, item = heapq.heappop(heap)
-            if state.in_solution[item]:
-                continue
-            if fresh[item] == round_no:
-                # Bound is current: this really is the best item.
-                gain = -neg_ub
-                if gain <= GAIN_EPS:
-                    heap.clear()
-                    break
-                # Ties: the heap orders by exact floats, but the plain
-                # loop's scan treats gains within GAIN_EPS as equal and
-                # keeps the earliest item. Re-apply that rule over every
-                # heap entry whose bound falls in the epsilon band, so a
-                # mathematically exact tie whose two computations differ
-                # in the last ulp cannot make the variants diverge.
-                item, gain = _resolve_ties(
-                    objective, scalarizer, state, weights,
-                    heap, fresh, round_no, item, gain,
-                )
-                objective.add(state, item)
-                value = scalarizer.value(state.group_values, weights)
-                steps.append(GreedyStep(item, gain, value))
-                round_no += 1
-                if stop_value is not None and value >= stop_value - tolerance:
-                    heap.clear()
-                break
-            gain = scalarizer.gain(
-                state.group_values, objective.gains(state, item), weights
-            )
-            fresh[item] = round_no
-            heapq.heappush(heap, (-gain, item))
-        else:
-            break
 
 
 def stochastic_greedy_max(
@@ -380,10 +286,10 @@ def threshold_greedy_max(
     singleton value) and adds any item whose current marginal gain meets
     the threshold. Each item is touched ``O(log(n/eps)/eps)`` times in
     total — independent of ``k`` — for a ``(1 - 1/e - eps)`` guarantee,
-    making it the preferred accelerator when ``k`` is large and CELF's
-    heap still degenerates to many re-evaluations.
+    making it the preferred accelerator when ``k`` is large and lazy
+    greedy still degenerates to many re-evaluations.
 
-    Like CELF, the batched sweep requires a *submodular* scalarization:
+    Like lazy greedy, the batched sweep requires a *submodular* scalarization:
     after an add, items whose stale gain already missed the threshold are
     dropped for the rest of the sweep on the grounds that gains only
     decrease. Feeding a non-submodular scalarizer (e.g. ``MinUtility``)

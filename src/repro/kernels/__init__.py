@@ -4,9 +4,9 @@ The influence stack has exactly three inner loops that dominate every
 figure: the per-level gather+draw of the batched reachability BFS
 (:mod:`repro.influence.engine`), CSR coverage counting
 (:func:`repro.utils.csr.batch_group_counts` and the bincount paths in
-:mod:`repro.problems.influence`), and the CELF single-item gains
-re-score. This package holds one implementation *set* per strategy and
-dispatches each call to the best available one:
+:mod:`repro.problems.influence`), and the single-item gains re-score
+that commits an item. This package holds one implementation *set* per
+strategy and dispatches each call to the best available one:
 
 * ``"baseline"`` — the PR 3 reference implementations, moved here
   verbatim from ``engine.py``/``csr.py``. Kept callable forever: it is
@@ -61,7 +61,7 @@ class Kernel:
     engine's private chunk functions (flat ``instance * n + node`` keys
     in, reached keys out, one ``rng.random`` consumption per BFS level);
     ``group_counts`` mirrors :func:`repro.utils.csr.batch_group_counts`;
-    ``gains_rescore`` is the CELF single-item fresh-coverage count
+    ``gains_rescore`` is the single-item fresh-coverage count
     (``ids`` of RR sets containing the item → per-group int64 counts);
     ``pack_chunk_keys`` turns one chunk's reached flat keys into the
     packed ``(set_indptr, set_indices)`` pair.

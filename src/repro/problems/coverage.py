@@ -76,6 +76,8 @@ class CoverageObjective(GroupedObjective):
         # [_set_indptr[j], _set_indptr[j+1]) of _set_indices. Lets the
         # batch oracle gather whole candidate pools without Python loops.
         self._set_indptr, self._set_indices = build_csr(self._sets)
+        # Resolved once: the oracles below run thousands of times a solve.
+        self._kernel_set = get_kernel()
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "CoverageObjective":
@@ -113,7 +115,7 @@ class CoverageObjective(GroupedObjective):
 
     def _gains(self, payload: _CoveragePayload, item: int) -> np.ndarray:
         members = self._sets[item]
-        counts = get_kernel().gains_rescore(
+        counts = self._kernel_set.gains_rescore(
             members, payload.covered, self._labels, self.num_groups
         )
         return counts / self._group_sizes
@@ -121,7 +123,7 @@ class CoverageObjective(GroupedObjective):
     def _gains_batch(
         self, payload: _CoveragePayload, items: np.ndarray
     ) -> np.ndarray:
-        counts = get_kernel().group_counts(
+        counts = self._kernel_set.group_counts(
             self._set_indptr,
             self._set_indices,
             items,

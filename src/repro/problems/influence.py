@@ -112,6 +112,9 @@ class InfluenceObjective(GroupedObjective):
         self._workers: Optional[int] = None
         self._exec_backend: Optional[str] = None
         self._kernel: Optional[str] = None
+        # The resolved set, fixed when the objective is built: the gains
+        # oracles run thousands of times a solve.
+        self._kernel_set = get_kernel()
         self._store = "mmap" if self._segmented else "ram"
         self._memory_budget: Optional[int] = None
         self._backend: Optional[ArrayBackend] = (
@@ -145,6 +148,7 @@ class InfluenceObjective(GroupedObjective):
         self._workers = workers
         self._exec_backend = exec_backend
         self._kernel = kernel
+        self._kernel_set = get_kernel(kernel)
         self._store = store
         self._memory_budget = memory_budget
 
@@ -226,6 +230,7 @@ class InfluenceObjective(GroupedObjective):
         )
         objective = cls.from_collection(imm.collection, graph.group_sizes())
         objective._kernel = kernel
+        objective._kernel_set = get_kernel(kernel)
         objective._exec_backend = exec_backend
         return objective
 
@@ -442,7 +447,7 @@ class InfluenceObjective(GroupedObjective):
 
     def _gains(self, payload: _InfluencePayload, item: int) -> np.ndarray:
         ids = self._member_ids(item)
-        counts = get_kernel(self._kernel).gains_rescore(
+        counts = self._kernel_set.gains_rescore(
             ids, payload.covered, self._root_groups, self.num_groups
         )
         return counts / self._group_counts
@@ -462,7 +467,7 @@ class InfluenceObjective(GroupedObjective):
                 self.num_groups,
             )
             return counts / self._group_counts
-        counts = get_kernel(self._kernel).group_counts(
+        counts = self._kernel_set.group_counts(
             self._mem_indptr,
             self._mem_indices,
             items,

@@ -14,7 +14,7 @@ one :meth:`handle_batch` call) are *concurrent*. Concurrent ``solve``
 requests with ``algorithm="greedy"`` and identical
 ``(dataset, seed, im_samples, workers)`` — i.e. the same warm objective
 and the same ``AverageUtility`` scalarizer (``tau`` does not enter
-plain greedy) — run as **one** ``gains_batch``-backed CELF solve at the
+plain greedy) — run as **one** block-lazy greedy solve at the
 largest requested budget. Greedy's prefix property makes this exact:
 the run at budget ``k_max`` selects, step by step, precisely the items
 a run at any smaller ``k`` would, with identical tie-breaking, and
@@ -39,6 +39,7 @@ from repro.service.protocol import AnyRequest, Request, Response
 from repro.service.session import SolverSession
 from repro.utils.caching import BoundedCache
 from repro.utils.parallel import pool_stats, resolve_backend
+from repro.utils.stats import percentile
 from repro.utils.timing import Timer
 
 #: Algorithms eligible for shared-run coalescing. Deterministic,
@@ -157,18 +158,14 @@ class ServiceEngine:
         ``count`` is cumulative over the engine's lifetime; ``mean`` and
         ``p99`` (seconds) are computed on the last
         :data:`LATENCY_WINDOW` samples per op. p99 is the nearest-rank
-        percentile of the sorted window.
+        percentile of the window (:func:`repro.utils.stats.percentile`).
         """
         out: dict[str, dict[str, float]] = {}
         for op, window in self._op_runtimes.items():
-            samples = sorted(window)
-            rank = max(0, int(len(samples) * 0.99) - 1) if samples else 0
             out[op] = {
-                "count": self._op_counts.get(op, len(samples)),
-                "mean": (
-                    sum(samples) / len(samples) if samples else 0.0
-                ),
-                "p99": samples[rank] if samples else 0.0,
+                "count": self._op_counts.get(op, len(window)),
+                "mean": sum(window) / len(window) if window else 0.0,
+                "p99": percentile(window, 0.99),
             }
         return out
 
@@ -539,7 +536,7 @@ class ServiceEngine:
 
         All requests share (algorithm, dataset, seed, im_samples,
         workers) by construction; only ``k`` (and the greedy-inert
-        ``tau``) differ. The shared CELF run at ``k_max`` yields every
+        ``tau``) differ. The shared greedy run at ``k_max`` yields every
         smaller solve as a step prefix.
         """
         from repro.core.baselines import greedy_utility

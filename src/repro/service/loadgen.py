@@ -39,6 +39,7 @@ from repro.service.protocol import (
     UpdateRequest,
     encode_request,
 )
+from repro.utils.stats import percentile
 
 DEFAULT_MIX = {
     "solve": 0.55,
@@ -163,15 +164,6 @@ class LoadReport:
             "max_ms": self.max_ms,
             "per_op": dict(self.per_op),
         }
-
-
-def percentile(samples: list[float], q: float) -> float:
-    """Nearest-rank percentile of an unsorted sample list (0 if empty)."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = max(0, min(len(ordered) - 1, int(len(ordered) * q) - 1))
-    return ordered[rank] if q < 1.0 else ordered[-1]
 
 
 async def run_load(

@@ -23,7 +23,7 @@ Four mechanisms make the engines safe and fast under concurrency:
   into a single engine batch. Requests from *different connections*
   therefore coalesce exactly like members of one array line — many
   users asking for the same dataset's seeds collapse into one shared
-  CELF run on that dataset's shard (the engine's prefix-replay
+  greedy run on that dataset's shard (the engine's prefix-replay
   guarantee keeps each response bitwise-identical to a sequential
   solve). Routing affinity makes the per-shard window exactly as
   effective as the old global one: coalescable requests share a
@@ -78,6 +78,7 @@ from repro.service.protocol import (
 )
 from repro.service.shards import EngineShardPool, shard_for_dataset
 from repro.utils.parallel import get_pool
+from repro.utils.stats import percentile
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_MAX_QUEUE_DEPTH = 256
@@ -151,14 +152,11 @@ class _LatencyWindows:
     def snapshot(self) -> dict[str, dict[str, float]]:
         out: dict[str, dict[str, float]] = {}
         for op, window in self._samples.items():
-            samples = sorted(window)
-            p50 = samples[max(0, int(len(samples) * 0.50) - 1)] if samples else 0.0
-            p99 = samples[max(0, int(len(samples) * 0.99) - 1)] if samples else 0.0
             out[op] = {
-                "count": self._counts.get(op, len(samples)),
-                "mean": sum(samples) / len(samples) if samples else 0.0,
-                "p50": p50,
-                "p99": p99,
+                "count": self._counts.get(op, len(window)),
+                "mean": sum(window) / len(window) if window else 0.0,
+                "p50": percentile(window, 0.50),
+                "p99": percentile(window, 0.99),
             }
         return out
 
@@ -573,9 +571,11 @@ class TCPServer:
         """Gather one shard's queue into micro-batches and dispatch them.
 
         The window opens when the first item of a batch arrives and
-        closes ``batch_window`` seconds later (or at ``max_batch``) —
-        so an idle server adds no latency and a busy one coalesces
-        aggressively. ``None`` is the drain sentinel.
+        closes ``batch_window`` seconds later (or at ``max_batch``), so
+        a busy server coalesces aggressively. The wait is paid even when
+        nothing else arrives: a lone request on an idle server reaches
+        the engine ``batch_window`` seconds after it was queued.
+        ``None`` is the drain sentinel.
         """
         queue = self._queues[shard]
         inflight = self._inflights[shard]

@@ -11,13 +11,17 @@ seed-replication aggregates:
 * :func:`paired_sign_test` — a quick nonparametric check that one
   algorithm beats another across seeds (used by EXPERIMENTS.md claims
   such as "BSM-Saturate dominates BSM-TSGreedy on f(S)").
+
+:func:`percentile` is the one latency quantile of the service: the
+engine's and the TCP front-end's sliding windows and the load
+generator's report all use it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -59,6 +63,23 @@ def aggregate(values: Sequence[float]) -> Aggregate:
         minimum=float(data.min()),
         maximum=float(data.max()),
     )
+
+
+def percentile(samples: Iterable[float], q: float) -> float:
+    """Nearest-rank percentile (``q`` in ``[0, 1]``); 0.0 when empty.
+
+    The sample at 1-based rank ``ceil(n * q)`` of the sorted samples —
+    what ``numpy.quantile(samples, q, method="inverted_cdf")`` returns.
+    The median of three samples is the middle one, and any ``q > 1 -
+    1/n`` reports the maximum.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must be in [0, 1], got {q}")
+    ordered = sorted(samples)
+    if not ordered:
+        return 0.0
+    rank = min(len(ordered), max(1, math.ceil(len(ordered) * q)))
+    return ordered[rank - 1]
 
 
 def bootstrap_ci(

@@ -8,10 +8,11 @@ Two families of guarantees are locked down here:
   (vectorized coverage / facility / influence / recommendation /
   summarization paths) and for the generic :class:`PerUserObjective`
   fallback;
-* **solver parity** — plain, lazy and batched greedy pick *identical*
-  solutions on seeded instances, including against a frozen reference
-  implementation of the seed's per-item CELF loop (same tie-breaking
-  toward the lowest item id).
+* **solver parity** — ``lazy=True`` and ``lazy=False`` greedy pick
+  *identical* solutions on seeded instances, including against frozen
+  reference implementations of the seed's per-item CELF and plain loops
+  (same tie-breaking toward the lowest item id), and on planted
+  near-ties inside the ``GAIN_EPS`` band.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import heapq
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.functions import (
     AverageUtility,
@@ -128,8 +131,8 @@ def per_item_celf(
     equal and the earliest item wins. (The naive heap breaks such ties
     by exact floats instead, which can diverge from plain greedy when
     two computations of a mathematically identical gain differ in the
-    last ulp — the bug the solver's ``_resolve_ties`` fixes; this
-    reference resolves the band the same way.)
+    last ulp; this reference resolves the band the way the solver's
+    selection rule does.)
     """
     state = objective.new_state()
     weights = objective.group_weights
@@ -464,13 +467,105 @@ class TestSolverParity:
             threshold *= 0.8
         assert state.solution == ref_state.solution
 
-    def test_batched_loops_count_batches(self):
-        objective = _coverage()
-        objective.reset_counter()
-        greedy_max(objective, AverageUtility(), 4, lazy=False)
-        assert objective.batch_oracle_calls >= 1
-        per_round = objective.oracle_calls
-        objective.reset_counter()
-        greedy_max(objective, AverageUtility(), 4, lazy=True)
-        assert objective.batch_oracle_calls == 1  # CELF seeds once
-        assert objective.oracle_calls <= per_round
+    def test_batched_loops_count_batches(self, monkeypatch):
+        # The greedy loop never calls the single-item oracle, and every
+        # round settles in at most ceil(log2 n) + 2 batched calls (one
+        # call per round when lazy=False).
+        def no_single_item(self, state, item):
+            raise AssertionError("greedy_max called single-item gains()")
+
+        monkeypatch.setattr(GroupedObjective, "gains", no_single_item)
+        for domain in sorted(DOMAINS):
+            calls = {}
+            for lazy in (False, True):
+                objective = DOMAINS[domain]()
+                marks = [0]
+                add = objective.add
+
+                def counted_add(state, item, objective=objective, add=add):
+                    marks.append(objective.batch_oracle_calls)
+                    return add(state, item)
+
+                objective.add = counted_add
+                greedy_max(objective, AverageUtility(), 6, lazy=lazy)
+                per_round = np.diff(marks)
+                log_n = int(np.ceil(np.log2(objective.num_items)))
+                cap = log_n + 2 if lazy else 1
+                assert per_round.size and per_round.max() <= cap, (
+                    domain,
+                    lazy,
+                    per_round,
+                )
+                calls[lazy] = objective.oracle_calls
+            assert calls[True] <= calls[False], domain
+
+
+# ---------------------------------------------------------------------------
+# Planted near-ties: lazy and plain follow the same band rule
+# ---------------------------------------------------------------------------
+def band_rule_greedy(
+    objective: GroupedObjective,
+    scalarizer: Scalarizer,
+    budget: int,
+) -> tuple[int, ...]:
+    """Reference for the documented selection rule, rescoring everything.
+
+    Each round the band is every unselected item whose gain lies within
+    ``GAIN_EPS`` of the round's best gain; the winner is the sequential
+    ``gain > best + GAIN_EPS`` scan over the band in ascending id order.
+    """
+    state = objective.new_state()
+    weights = objective.group_weights
+    for _ in range(budget):
+        pool = np.flatnonzero(~state.in_solution)
+        if pool.size == 0:
+            break
+        gains = scalarizer.gain_batch(
+            state.group_values, objective.gains_batch(state, pool), weights
+        )
+        in_band = gains > gains.max() - GAIN_EPS
+        best_item, best_gain = -1, 0.0
+        for item, gain in zip(pool[in_band], gains[in_band]):
+            if gain > best_gain + GAIN_EPS:
+                best_item, best_gain = int(item), float(gain)
+        if best_item < 0:
+            break
+        objective.add(state, best_item)
+    return state.solution
+
+
+@st.composite
+def planted_ties(draw) -> FacilityLocationObjective:
+    """Facility instances whose columns come in near-identical clusters.
+
+    Each base column is copied up to three times, every copy shifted by
+    a multiple of ``0.35 * GAIN_EPS``: gains inside a cluster differ by
+    less than ``GAIN_EPS`` between neighbours, and a three-copy cluster
+    spans just over one ``GAIN_EPS`` band. Copies are shuffled so the
+    lowest id is not always the smallest gain.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    num_base = draw(st.integers(2, 6))
+    copies = draw(
+        st.lists(st.integers(1, 4), min_size=num_base, max_size=num_base)
+    )
+    num_users = draw(st.integers(4, 16))
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(0.0, 1.0, size=(num_users, num_base))
+    columns = []
+    for j, count in enumerate(copies):
+        for c in range(count):
+            columns.append(base[:, j] + c * 0.35 * GAIN_EPS)
+    benefits = np.stack(columns, axis=1)[:, rng.permutation(len(columns))]
+    groups = rng.integers(0, 2, size=num_users)
+    groups[:2] = [0, 1]
+    return FacilityLocationObjective(benefits, groups)
+
+
+@settings(max_examples=60, deadline=None)
+@given(objective=planted_ties(), budget=st.integers(1, 8))
+def test_planted_near_ties_lazy_matches_plain(objective, budget):
+    reference = band_rule_greedy(objective, AverageUtility(), budget)
+    for lazy in (False, True):
+        state, _ = greedy_max(objective, AverageUtility(), budget, lazy=lazy)
+        assert state.solution == reference, lazy

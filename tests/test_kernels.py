@@ -11,9 +11,14 @@ an optional dependency); they skip cleanly otherwise.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import repro.kernels as kernels_module
+from repro.core.functions import AverageUtility
+from repro.core.greedy import greedy_max
 from repro.graphs.generators import stochastic_block_model
 from repro.influence.ris import sample_rr_collection
 from repro.kernels import (
@@ -23,6 +28,8 @@ from repro.kernels import (
     get_kernel,
     set_default_kernel,
 )
+from repro.problems.coverage import CoverageObjective
+from repro.problems.influence import InfluenceObjective
 
 #: Kernel sets compared against baseline. The numba row stays listed so
 #: a CI leg with the wheel installed exercises it; it skips when absent.
@@ -81,6 +88,75 @@ class TestRegistry:
     def test_get_unknown_rejected(self):
         with pytest.raises(ValueError):
             get_kernel("fortran")
+
+
+class TestObjectiveKernelResolution:
+    """Objectives resolve their kernel set once, when they are built."""
+
+    @staticmethod
+    def _spy(monkeypatch, name: str, calls: list) -> None:
+        """Register ``name``: the numpy set, logging each oracle call."""
+        numpy_set = get_kernel("numpy")
+
+        def logged(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        spy = dataclasses.replace(
+            numpy_set,
+            name=name,
+            group_counts=logged(numpy_set.group_counts),
+            gains_rescore=logged(numpy_set.gains_rescore),
+        )
+        monkeypatch.setitem(kernels_module._REGISTRY, name, spy)
+
+    @staticmethod
+    def _objectives():
+        g = stochastic_block_model([20, 20], 0.15, 0.05, seed=3)
+        g.set_edge_probabilities(0.3)
+        return (
+            CoverageObjective.from_graph(g),
+            InfluenceObjective.from_graph(g, 60, seed=2),
+        )
+
+    @staticmethod
+    def _solve_all(objectives) -> None:
+        for objective in objectives:
+            greedy_max(objective, AverageUtility(), 3)
+
+    def test_env_and_pin_apply_to_objectives_built_after(self, monkeypatch):
+        calls: list = []
+        self._spy(monkeypatch, "spy-env", calls)
+        self._spy(monkeypatch, "spy-pin", calls)
+        monkeypatch.setenv(KERNEL_ENV_VAR, "spy-env")
+        built_under_env = self._objectives()
+        set_default_kernel("spy-pin")
+        built_under_pin = self._objectives()
+        set_default_kernel(None)
+        monkeypatch.delenv(KERNEL_ENV_VAR)
+
+        calls.clear()
+        self._solve_all(built_under_env)
+        assert calls and set(calls) == {"spy-env"}
+        calls.clear()
+        self._solve_all(built_under_pin)
+        assert calls and set(calls) == {"spy-pin"}
+        calls.clear()
+        self._solve_all(self._objectives())
+        assert calls == []
+
+    def test_oracles_do_not_resolve_per_call(self, monkeypatch):
+        objectives = self._objectives()
+
+        def no_lookup(name=None):
+            raise AssertionError("gains oracle re-resolved its kernel")
+
+        for module in ("repro.problems.coverage", "repro.problems.influence"):
+            monkeypatch.setattr(f"{module}.get_kernel", no_lookup)
+        self._solve_all(objectives)
 
 
 class TestChunkEquivalence:

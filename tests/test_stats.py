@@ -11,12 +11,37 @@ from repro.utils.stats import (
     aggregate,
     bootstrap_ci,
     paired_sign_test,
+    percentile,
     replicate,
 )
 
 floats = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
 )
+
+
+class TestPercentile:
+    def test_matches_numpy_inverted_cdf(self):
+        rng = np.random.default_rng(7)
+        for n in range(1, 601):
+            samples = rng.random(n).tolist()
+            for q in (0.5, 0.9, 0.99):
+                expected = float(
+                    np.quantile(samples, q, method="inverted_cdf")
+                )
+                assert percentile(samples, q) == expected, (n, q)
+
+    def test_small_windows_are_not_one_rank_low(self):
+        assert percentile([3.0, 1.0, 2.0], 0.5) == 2.0
+        assert percentile([float(v) for v in range(50)], 0.99) == 49.0
+        assert percentile([7.0], 0.99) == 7.0
+
+    def test_edges(self):
+        assert percentile([], 0.5) == 0.0
+        assert percentile([2.0, 1.0], 0.0) == 1.0
+        assert percentile([2.0, 1.0], 1.0) == 2.0
+        with pytest.raises(ValueError):
+            percentile([1.0], 1.5)
 
 
 class TestAggregate:
