@@ -35,6 +35,13 @@ from repro.utils.validation import check_fraction, check_positive_int
 #: The paper sets eps = 0.05 throughout Section 5 (sensitivity in Fig. 9).
 DEFAULT_EPSILON = 0.05
 
+#: Smallest ``alpha_max`` the bisection probes below. With no cover found
+#: yet (``alpha_min == 0``) halving would otherwise run until ``alpha``
+#: underflows to zero; at this factor the utility part of ``F'_alpha``
+#: already saturates on any set with ``f(S) >= ALPHA_FLOOR * OPT'_f``, so
+#: an instance still uncovered here falls back to ``S_g``.
+ALPHA_FLOOR = 2.0 ** -40
+
 
 def bsm_saturate(
     objective: GroupedObjective,
@@ -121,7 +128,9 @@ def bsm_saturate(
         alpha_min, alpha_max = 0.0, 1.0
         best_state = None
         iters = 0
-        while (1.0 - epsilon) * alpha_max > alpha_min:
+        while (
+            (1.0 - epsilon) * alpha_max > alpha_min and alpha_max > ALPHA_FLOOR
+        ):
             iters += 1
             alpha = (alpha_max + alpha_min) / 2.0
             surrogate = BSMCombined(
@@ -142,9 +151,10 @@ def bsm_saturate(
             else:
                 alpha_max = alpha
         if best_state is None:
-            # Not even alpha ~ 0 was coverable within budget: the fairness
-            # part alone cannot saturate with <= budget items. Fall back to
-            # the Saturate solution S_g (the fairest size-k set we know).
+            # Not even alpha = ALPHA_FLOOR was coverable within budget: the
+            # fairness part alone cannot saturate with <= budget items. Fall
+            # back to the Saturate solution S_g (the fairest size-k set we
+            # know).
             best_state = objective.new_state()
             for item in saturate_result.solution[:budget]:
                 objective.add(best_state, item)

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.baselines import greedy_utility
-from repro.core.bsm_saturate import bsm_saturate
+from repro.core.bsm_saturate import ALPHA_FLOOR, bsm_saturate
 from repro.core.saturate import saturate
 from repro.core.tsgreedy import bsm_tsgreedy
+from repro.problems.coverage import CoverageObjective
 
 
 class TestBsmSaturate:
@@ -92,3 +94,25 @@ class TestBsmSaturate:
 
     def test_algorithm_name(self, small_coverage):
         assert bsm_saturate(small_coverage, 2, 0.5).algorithm == "BSM-Saturate"
+
+    def test_uncoverable_instance_falls_back_to_saturate(self):
+        # Greedy cover with k = 3 stalls at 1.93 < 2(1 - eps/c) for every
+        # alpha, although Saturate's set reaches full fairness. The
+        # bisection must stop at ALPHA_FLOOR and return S_g instead of
+        # halving alpha until the utility threshold underflows to zero.
+        sets = [
+            [5, 6, 11, 13], [3, 6, 8, 9, 11, 12], [1, 2, 4, 8, 9, 11],
+            [0, 1, 2, 7, 8], [0, 3, 4, 6, 9, 10, 13], [2, 4, 5, 7],
+            [0, 3, 4, 5, 8, 11, 12], [1, 4, 5, 9, 11],
+        ]
+        labels = [0, 1, 2, 1, 2, 1, 1, 0, 2, 2, 1, 0, 0, 0]
+        objective = CoverageObjective(
+            [np.asarray(members, dtype=np.int64) for members in sets], labels
+        )
+        result = bsm_saturate(objective, 3, 1.0)
+        assert result.extra["alpha_min"] == 0.0
+        assert result.extra["alpha_max"] <= ALPHA_FLOOR
+        assert result.extra["bisection_iters"] <= 64
+        assert result.solution == saturate(objective, 3).solution
+        assert result.fairness >= result.extra["opt_g_approx"] - 1e-9
+        assert result.feasible
