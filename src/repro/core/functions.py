@@ -302,6 +302,24 @@ class GroupedObjective(abc.ABC):
             out[r] = self._gains(payload, item)
         return out
 
+    def _group_means(
+        self, per_user: np.ndarray, labels: np.ndarray
+    ) -> np.ndarray:
+        """Group means of every row of an ``(N, m)`` per-user matrix.
+
+        One flat weighted ``bincount`` over bins ``row * c + label``.
+        ``bincount`` adds each bin's weights in input order, so row ``r``
+        is bitwise the ``bincount(labels, weights=per_user[r]) /
+        group_sizes`` of a per-item :meth:`_gains`. (A one-hot matmul is
+        not: BLAS reorders the sums.)
+        """
+        rows, c = per_user.shape[0], self.num_groups
+        bins = labels + (np.arange(rows) * c)[:, None]
+        sums = np.bincount(
+            bins.ravel(), weights=per_user.ravel(), minlength=rows * c
+        )
+        return sums.reshape(rows, c) / self._group_sizes
+
     def _apply(self, payload: Any, item: int) -> np.ndarray:
         """Commit ``item``; default recomputes gains then delegates."""
         gains = self._gains(payload, item)

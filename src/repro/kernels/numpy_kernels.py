@@ -40,6 +40,14 @@ Adjacency = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 _INT32_LIMIT = np.iinfo(np.int32).max
 
+#: Largest block, in gathered CSR entries, that :func:`group_counts`
+#: hands to the baseline. Below about this size the scratch bookkeeping
+#: (a dozen named-buffer lookups and as many small NumPy calls) costs
+#: more than the allocations it saves; the crossover tracks the entry
+#: count, not the item count, because slices range from a few to
+#: thousands of entries.
+SMALL_BLOCK_ENTRIES = 8192
+
 #: Largest probability array worth scanning for uniformity per chunk
 #: call. Above this the O(arcs) scan could rival a level's work, so the
 #: gathered path runs unconditionally.
@@ -405,9 +413,17 @@ def group_counts(
     labels: np.ndarray,
     num_groups: int,
 ) -> np.ndarray:
-    """Scratch-buffered twin of :func:`repro.utils.csr.batch_group_counts`."""
-    scratch = _scratch()
+    """Scratch-buffered twin of :func:`repro.utils.csr.batch_group_counts`.
+
+    Blocks of at most :data:`SMALL_BLOCK_ENTRIES` entries run the
+    baseline's plain passes (the same counts, cheaper at that size).
+    """
     items = np.asarray(items, dtype=np.int64)
+    if int((indptr[items + 1] - indptr[items]).sum()) <= SMALL_BLOCK_ENTRIES:
+        return baseline.group_counts(
+            indptr, indices, items, already_counted, labels, num_groups
+        )
+    scratch = _scratch()
     offsets, lengths, _, total = _csr_level(scratch, indptr, items, np.int64)
     if total == 0:
         return np.zeros((items.size, num_groups), dtype=np.int64)

@@ -123,12 +123,16 @@ class RecommendationObjective(GroupedObjective):
         if np.any(sizes == 0):
             raise GroupPartitionError("group labels must be contiguous 0..c-1")
         super().__init__(matrix.shape[1], sizes)
-        self._relevance = matrix
+        # Item-major copy (one contiguous row of user probabilities per
+        # item), so the oracles gather whole rows.
+        self._relevance_t = np.ascontiguousarray(matrix.T)
+        self._relevance_t.setflags(write=False)
         self._labels = labels
 
     @property
     def relevance(self) -> np.ndarray:
-        return self._relevance
+        """The ``(m, n)`` relevance matrix (a read-only view)."""
+        return self._relevance_t.T
 
     @property
     def user_groups(self) -> np.ndarray:
@@ -139,7 +143,7 @@ class RecommendationObjective(GroupedObjective):
         slate = np.asarray(list(items), dtype=np.int64)
         if slate.size == 0:
             return np.zeros(self.num_users)
-        return 1.0 - np.prod(1.0 - self._relevance[:, slate], axis=1)
+        return 1.0 - np.prod(1.0 - self.relevance[:, slate], axis=1)
 
     # -- GroupedObjective hooks ------------------------------------------
     def _new_payload(self) -> _SlatePayload:
@@ -151,13 +155,20 @@ class RecommendationObjective(GroupedObjective):
     def _gains(self, payload: _SlatePayload, item: int) -> np.ndarray:
         # Adding v multiplies each user's miss probability by (1 - p_uv),
         # so the per-user gain is miss_u * p_uv.
-        per_user = payload.miss * self._relevance[:, item]
+        per_user = payload.miss * self._relevance_t[item]
         totals = np.bincount(
             self._labels, weights=per_user, minlength=self.num_groups
         )
         return totals / self._group_sizes
 
+    def _gains_batch(
+        self, payload: _SlatePayload, items: np.ndarray
+    ) -> np.ndarray:
+        per_user = self._relevance_t[items]
+        np.multiply(payload.miss, per_user, out=per_user)
+        return self._group_means(per_user, self._labels)
+
     def _apply(self, payload: _SlatePayload, item: int) -> np.ndarray:
         gains = self._gains(payload, item)
-        payload.miss = payload.miss * (1.0 - self._relevance[:, item])
+        payload.miss = payload.miss * (1.0 - self._relevance_t[item])
         return gains

@@ -115,7 +115,10 @@ class SummarizationObjective(GroupedObjective):
         direction[0] = 1.0
         phantom_point = centroid + phantom_scale * max(radius, 1.0) * direction
         self._phantom = np.linalg.norm(data - phantom_point, axis=1)
-        self._dist = _distances(data, data[pool])
+        # Item-major (one contiguous row of user distances per item), so
+        # the oracles gather whole rows. Computed (users, items) and then
+        # transposed: the (items, users) matmul may round differently.
+        self._dist_t = np.ascontiguousarray(_distances(data, data[pool]).T)
         self._labels = labels
         self._pool = pool
         self._points = data
@@ -141,15 +144,15 @@ class SummarizationObjective(GroupedObjective):
         """
         from repro.problems.facility import FacilityLocationObjective
 
-        benefits = np.maximum(self._phantom[:, None] - self._dist, 0.0)
+        benefits = np.maximum(self._phantom[:, None] - self._dist_t.T, 0.0)
         return FacilityLocationObjective(benefits, self._labels)
 
     def loss(self, items: Sequence[int]) -> float:
         """Average k-medoid loss of a summary (what ``f`` reduces)."""
         if len(list(items)) == 0:
             return float(self._phantom.mean())
-        cols = self._dist[:, np.asarray(list(items), dtype=np.int64)]
-        best = np.minimum(cols.min(axis=1), self._phantom)
+        rows = self._dist_t[np.asarray(list(items), dtype=np.int64)]
+        best = np.minimum(rows.min(axis=0), self._phantom)
         return float(best.mean())
 
     # -- GroupedObjective hooks ------------------------------------------
@@ -160,13 +163,22 @@ class SummarizationObjective(GroupedObjective):
         return payload.copy()
 
     def _gains(self, payload: _SummaryPayload, item: int) -> np.ndarray:
-        improved = np.maximum(payload.best - self._dist[:, item], 0.0)
+        improved = np.maximum(payload.best - self._dist_t[item], 0.0)
         totals = np.bincount(
             self._labels, weights=improved, minlength=self.num_groups
         )
         return totals / self._group_sizes
 
+    def _gains_batch(
+        self, payload: _SummaryPayload, items: np.ndarray
+    ) -> np.ndarray:
+        # (N, m) improvements, built in place on the row gather.
+        improved = self._dist_t[items]
+        np.subtract(payload.best, improved, out=improved)
+        np.maximum(improved, 0.0, out=improved)
+        return self._group_means(improved, self._labels)
+
     def _apply(self, payload: _SummaryPayload, item: int) -> np.ndarray:
         gains = self._gains(payload, item)
-        payload.best = np.minimum(payload.best, self._dist[:, item])
+        payload.best = np.minimum(payload.best, self._dist_t[item])
         return gains

@@ -221,6 +221,20 @@ class TestGainsBatchParity:
         per_item = np.stack([objective.gains(state, v) for v in items])
         _assert_gains_match(domain, batch, per_item)
 
+    @pytest.mark.parametrize("domain", sorted(DOMAINS))
+    def test_dense_domains_never_call_per_item_oracle(
+        self, domain, monkeypatch
+    ):
+        objective = DOMAINS[domain]()
+        state = _partial_state(objective)
+
+        def per_item(payload, item):
+            raise AssertionError(f"{domain}: gains_batch looped _gains")
+
+        monkeypatch.setattr(objective, "_gains", per_item)
+        batch = objective.gains_batch(state, list(range(objective.num_items)))
+        assert batch.shape == (objective.num_items, objective.num_groups)
+
     def test_per_user_fallback_matches(self):
         objective = _per_user()
         state = _partial_state(objective)

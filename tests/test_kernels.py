@@ -28,6 +28,7 @@ from repro.kernels import (
     get_kernel,
     set_default_kernel,
 )
+from repro.kernels.numpy_kernels import SMALL_BLOCK_ENTRIES
 from repro.problems.coverage import CoverageObjective
 from repro.problems.influence import InfluenceObjective
 
@@ -263,34 +264,71 @@ class TestChunkEquivalence:
 class TestCountEquivalence:
     """Coverage counting and the CELF re-score."""
 
+    #: Users behind the CSR below; its pool holds ~11k entries, so
+    #: blocks land on both sides of numpy's SMALL_BLOCK_ENTRIES cutoff.
+    NUM_USERS = 3000
+
     def _csr(self, rng):
-        sets = [
-            np.unique(rng.integers(0, 40, size=rng.integers(0, 12)))
-            for _ in range(25)
-        ]
-        indptr = np.zeros(len(sets) + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum([s.size for s in sets])
-        indices = (
-            np.concatenate(sets)
-            if indptr[-1]
-            else np.zeros(0, dtype=np.int64)
+        """200 slices of 0–119 entries (20 forced empty), 150 of one."""
+        lengths = np.concatenate(
+            [rng.integers(0, 120, size=200), np.ones(150, dtype=np.int64)]
         )
-        return indptr, indices
+        lengths[rng.choice(200, size=20, replace=False)] = 0
+        indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        indices = np.concatenate(
+            [np.sort(rng.choice(self.NUM_USERS, size=n, replace=False))
+             for n in lengths]
+        ).astype(np.int64)
+        return lengths, indptr, indices
+
+    @staticmethod
+    def _block(lengths, target, rng):
+        """Items, in random order, whose slices hold ``target`` entries.
+
+        Takes every multi-entry slice that still fits, then tops up with
+        single-entry ones.
+        """
+        order = rng.permutation(lengths.size)
+        block, total = [], 0
+        for item in order[lengths[order] != 1]:
+            if total + lengths[item] <= target:
+                block.append(item)
+                total += int(lengths[item])
+        block.extend(order[lengths[order] == 1][: target - total])
+        assert lengths[block].sum() == target
+        return np.asarray(block, dtype=np.int64)
 
     @pytest.mark.parametrize("name", OPTIMIZED)
-    def test_group_counts_bitwise(self, name):
+    @pytest.mark.parametrize(
+        "block", ["one", "cutoff", "cutoff+1", "pool", "empty-slices"]
+    )
+    @pytest.mark.parametrize("mask", ["random", "all-covered"])
+    def test_group_counts_bitwise(self, name, block, mask):
         _maybe_skip(name)
         rng = np.random.default_rng(2)
-        indptr, indices = self._csr(rng)
-        items = np.array([0, 3, 7, 24], dtype=np.int64)
-        covered = rng.random(40) < 0.3
-        labels = rng.integers(0, 3, size=40).astype(np.int64)
+        lengths, indptr, indices = self._csr(rng)
+        if block == "one":
+            items = np.array([int(np.argmax(lengths))], dtype=np.int64)
+        elif block == "pool":
+            items = np.arange(lengths.size, dtype=np.int64)
+        elif block == "empty-slices":
+            items = np.flatnonzero(lengths == 0).astype(np.int64)
+        else:
+            target = SMALL_BLOCK_ENTRIES + (block == "cutoff+1")
+            items = self._block(lengths, target, rng)
+        if mask == "random":
+            covered = rng.random(self.NUM_USERS) < 0.3
+        else:
+            covered = np.ones(self.NUM_USERS, dtype=bool)
+        labels = rng.integers(0, 3, size=self.NUM_USERS).astype(np.int64)
         ref = get_kernel("baseline").group_counts(
             indptr, indices, items, covered, labels, 3
         )
         out = get_kernel(name).group_counts(
             indptr, indices, items, covered, labels, 3
         )
+        assert out.shape == (items.size, 3)
         np.testing.assert_array_equal(ref, out)
 
     @pytest.mark.parametrize("name", OPTIMIZED)

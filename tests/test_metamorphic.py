@@ -211,7 +211,7 @@ def _relabel(domain: str, objective, perm: np.ndarray):
         )
     if domain == "recommendation":
         return RecommendationObjective(
-            objective._relevance[:, perm], objective._labels
+            objective.relevance[:, perm], objective._labels
         )
     if domain == "summarization":
         # Items are the records themselves (the exemplar pool is kept

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -18,7 +19,11 @@ from repro.core.dynamic import DynamicMaximizer
 from repro.datasets.registry import load_dataset
 from repro.service.daemon import serve_forever
 from repro.service.engine import ServiceEngine
-from repro.service.protocol import Request, decode_response
+from repro.service.protocol import (
+    Request,
+    decode_response,
+    encode_response,
+)
 from repro.service.session import (
     SolverSession,
     reset_shared_sessions,
@@ -468,6 +473,26 @@ class TestEngineOps:
         assert response.result["inserted"] == 5
         assert response.result["deleted"] == 1
         assert response.result["live_items"] == 4
+
+    def test_encode_matches_asdict_bytes(self):
+        # The encoder builds the top-level dict without deep-copying
+        # ``result``/``cache``; the bytes must be what ``asdict`` gave.
+        engine = ServiceEngine()
+        requests = [
+            Request(op="solve", dataset="rand-mc-c2", algorithm="greedy",
+                    k=3),
+            Request(op="evaluate", dataset="rand-mc-c2", items=(1, 2, 3)),
+            Request(op="update", dataset="rand-mc-c2", k=3,
+                    events=(("insert", 0), ("insert", 3))),
+            Request(op="stats"),
+            Request(op="solve", dataset="no-such-dataset", k=3),
+        ]
+        responses = [engine.handle(request) for request in requests]
+        assert [r.ok for r in responses] == [True, True, True, True, False]
+        for response in responses:
+            assert encode_response(response) == json.dumps(
+                asdict(response), separators=(",", ":")
+            )
 
     def test_update_invalid_batch_applies_nothing(self):
         engine = ServiceEngine()
