@@ -19,8 +19,9 @@ by keeping derived state warm across requests:
   (micro-batch coalescing across connections, admission control,
   graceful drain, optional Prometheus metrics sidecar) behind
   ``repro serve --tcp``;
-* :class:`repro.service.shards.EngineShardPool` — N engine worker
-  processes with dataset-affine routing, behind ``--shards``;
+* :class:`repro.service.shards.EngineShardPool` — the front-end's
+  engine shards with dataset-affine routing: the in-process engine as
+  the single shard, or N engine worker processes behind ``--shards``;
 * :mod:`repro.service.loadgen` — the open-loop load generator behind
   ``repro loadgen`` and ``benchmarks/bench_load.py``.
 """

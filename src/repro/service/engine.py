@@ -30,7 +30,6 @@ response along with ``extra["coalesced_width"]``.
 from __future__ import annotations
 
 import time
-from collections import deque
 from typing import Any, Optional
 
 from repro.core.result import SolverResult, make_result
@@ -39,7 +38,7 @@ from repro.service.protocol import AnyRequest, Request, Response
 from repro.service.session import SolverSession
 from repro.utils.caching import BoundedCache
 from repro.utils.parallel import pool_stats, resolve_backend
-from repro.utils.stats import percentile
+from repro.utils.stats import LatencyWindow
 from repro.utils.timing import Timer
 
 #: Algorithms eligible for shared-run coalescing. Deterministic,
@@ -50,11 +49,6 @@ COALESCABLE = ("greedy",)
 
 #: Default capacity of the session registry (sessions, LRU).
 MAX_SESSIONS = 8
-
-#: Per-op latency samples retained for the ``stats`` op's mean/p99
-#: aggregation (a sliding window, so a long-lived daemon reports recent
-#: behaviour; the ``count`` field stays cumulative).
-LATENCY_WINDOW = 512
 
 
 def _lift(request: AnyRequest) -> AnyRequest:
@@ -100,10 +94,7 @@ class ServiceEngine:
         self.requests_served = 0
         self.coalesced_requests = 0
         self.coalesced_runs = 0
-        # Per-op latency: cumulative counts plus a bounded window of
-        # recent runtimes for mean/p99 (seconds).
-        self._op_counts: dict[str, int] = {}
-        self._op_runtimes: dict[str, deque] = {}
+        self.latency = LatencyWindow()
 
     # -- sessions ---------------------------------------------------------
     def session(
@@ -145,30 +136,6 @@ class ServiceEngine:
 
         return self._sessions.get_or_create(key, build)
 
-    def _record_latency(self, op: str, seconds: float) -> None:
-        self._op_counts[op] = self._op_counts.get(op, 0) + 1
-        window = self._op_runtimes.get(op)
-        if window is None:
-            window = self._op_runtimes[op] = deque(maxlen=LATENCY_WINDOW)
-        window.append(seconds)
-
-    def _latency_stats(self) -> dict[str, dict[str, float]]:
-        """Per-op ``{count, mean, p99}`` over the retained window.
-
-        ``count`` is cumulative over the engine's lifetime; ``mean`` and
-        ``p99`` (seconds) are computed on the last
-        :data:`LATENCY_WINDOW` samples per op. p99 is the nearest-rank
-        percentile of the window (:func:`repro.utils.stats.percentile`).
-        """
-        out: dict[str, dict[str, float]] = {}
-        for op, window in self._op_runtimes.items():
-            out[op] = {
-                "count": self._op_counts.get(op, len(window)),
-                "mean": sum(window) / len(window) if window else 0.0,
-                "p99": percentile(window, 0.99),
-            }
-        return out
-
     def stats(self) -> dict[str, Any]:
         from repro.service.session import shared_session_stats
 
@@ -189,7 +156,7 @@ class ServiceEngine:
                 "store": self.store,
                 "memory_budget": self.memory_budget,
             },
-            "op_latency": self._latency_stats(),
+            "op_latency": self.latency.snapshot(),
             # Persistent worker-pool telemetry (module-level registry —
             # one pool per (backend, width) for the whole daemon).
             "pools": pool_stats(),
@@ -214,7 +181,7 @@ class ServiceEngine:
                 error=f"{type(exc).__name__}: {exc}",
             )
         finally:
-            self._record_latency(request.op, time.perf_counter() - start)
+            self.latency.record(request.op, time.perf_counter() - start)
 
     def handle_batch(self, requests: list[AnyRequest]) -> list[Response]:
         """Process concurrent requests, coalescing compatible solves.
@@ -260,7 +227,7 @@ class ServiceEngine:
                     )
                     for pos in positions
                 ]
-            self._record_latency("solve", time.perf_counter() - start)
+            self.latency.record("solve", time.perf_counter() - start)
             for pos, response in zip(positions, coalesced):
                 responses[pos] = response
             self.requests_served += len(positions)

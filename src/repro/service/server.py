@@ -1,4 +1,4 @@
-"""Asyncio TCP front-end over one or many engine shards.
+"""Asyncio TCP front-end over an engine shard pool.
 
 The stdio daemon (:mod:`repro.service.daemon`) serves one pipe; this
 module serves *connections* — thousands of them — while keeping the
@@ -8,15 +8,16 @@ point its stdio script at a socket and see the same bytes back.
 
 Four mechanisms make the engines safe and fast under concurrency:
 
-* **Dataset-affine sharding** (``shards > 1``). An
-  :class:`~repro.service.shards.EngineShardPool` spawns N engine worker
-  processes; the dispatcher routes every data op by
+* **Dataset-affine sharding.** Every engine sits behind an
+  :class:`~repro.service.shards.EngineShardPool`: with ``shards == 1``
+  (the default) its one shard is the in-process engine, with
+  ``shards > 1`` it spawns N engine worker processes. There is one
+  dispatch path for any shard count: data ops route by
   :func:`~repro.service.shards.shard_for_dataset` (``crc32(dataset) %
   shards``) so a dataset's warm session state always lives on exactly
-  one shard. ``stats`` fans out to every shard and merges;
+  one shard; ``stats`` fans out to every shard and merges (a failed
+  shard reports an ``ok: false`` block instead of failing the op);
   ``shutdown`` is acked by the front-end and drains the whole pool.
-  With ``shards == 1`` (the default) the engine runs in-process,
-  exactly as before PR 10.
 * **Per-shard micro-batch coalescing windows.** Admitted requests land
   on their shard's queue; a per-shard batcher task gathers everything
   that arrives within ``batch_window`` seconds (up to ``max_batch``)
@@ -28,7 +29,7 @@ Four mechanisms make the engines safe and fast under concurrency:
   solve). Routing affinity makes the per-shard window exactly as
   effective as the old global one: coalescable requests share a
   dataset, so they always share a queue.
-* **Bounded executor hand-off.** Engine batches run on the persistent
+* **Bounded executor hand-off.** Shard batches run on the persistent
   thread :class:`~repro.utils.parallel.WorkerPool` via
   ``loop.run_in_executor`` under a per-shard in-flight semaphore
   (``max_inflight``). The event loop never blocks on a solve or a
@@ -41,7 +42,7 @@ Four mechanisms make the engines safe and fast under concurrency:
 
 Shutdown is graceful either way it arrives (SIGTERM/SIGINT or a
 ``shutdown`` op): the listener closes, every in-flight request is
-answered and written, the shard pool (if any) drains worker by worker,
+answered and written, the shard pool drains shard by shard,
 then connections close and :meth:`TCPServer.wait_closed` returns.
 While draining, new requests are refused with ``error: "draining"``.
 
@@ -61,9 +62,7 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
-import threading
 import time
-from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Any, Optional
 
@@ -78,7 +77,7 @@ from repro.service.protocol import (
 )
 from repro.service.shards import EngineShardPool, shard_for_dataset
 from repro.utils.parallel import get_pool
-from repro.utils.stats import percentile
+from repro.utils.stats import LatencyWindow
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_MAX_QUEUE_DEPTH = 256
@@ -89,23 +88,17 @@ DEFAULT_MAX_LINE_BYTES = 1 << 20
 DEFAULT_RETRY_AFTER_MS = 100
 
 #: Minimum width of the persistent thread pool the server dispatches
-#: engine batches onto. With shards, one thread per shard can block on
-#: a pipe round-trip plus one for stats fan-out, so the pool widens to
-#: ``shards + 1``. ``max_inflight`` (not this) bounds concurrent
-#: batches per shard; the pool is shared with every other
-#: thread-backend user.
+#: shard batches onto. One thread per shard can block on a batch plus
+#: one for stats fan-out, so the pool widens to ``shards + 1``.
+#: ``max_inflight`` (not this) bounds concurrent batches per shard; the
+#: pool is shared with every other thread-backend user.
 ENGINE_POOL_WIDTH = 2
-
-#: Latency samples retained per op for quantile estimates (sliding
-#: window, so a long-lived server reports recent behaviour; the
-#: ``count`` field stays cumulative).
-LATENCY_WINDOW = 512
 
 #: Content-Type of the Prometheus text exposition format.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Ops that are answered by the dispatcher itself (fan-out / fabricated
-#: ack) rather than routed to a dataset shard, when sharding is on.
+#: ack) rather than routed to a dataset shard.
 FANOUT_OPS = ("stats", "shutdown")
 
 
@@ -134,33 +127,6 @@ class ServerStats:
     responses_discarded: int = 0
 
 
-class _LatencyWindows:
-    """Front-side per-op latency: cumulative counts + quantile window."""
-
-    def __init__(self, window: int = LATENCY_WINDOW) -> None:
-        self._window = window
-        self._counts: dict[str, int] = {}
-        self._samples: dict[str, deque] = {}
-
-    def record(self, op: str, seconds: float) -> None:
-        self._counts[op] = self._counts.get(op, 0) + 1
-        window = self._samples.get(op)
-        if window is None:
-            window = self._samples[op] = deque(maxlen=self._window)
-        window.append(seconds)
-
-    def snapshot(self) -> dict[str, dict[str, float]]:
-        out: dict[str, dict[str, float]] = {}
-        for op, window in self._samples.items():
-            out[op] = {
-                "count": self._counts.get(op, len(window)),
-                "mean": sum(window) / len(window) if window else 0.0,
-                "p50": percentile(window, 0.50),
-                "p99": percentile(window, 0.99),
-            }
-        return out
-
-
 class TCPServer:
     """Newline-delimited-JSON TCP server over one or many engines.
 
@@ -171,10 +137,9 @@ class TCPServer:
     event loop; ``port=0`` binds an ephemeral port exposed via
     :attr:`port`.
 
-    With ``shards == 1`` the engine lives in-process (pass ``engine``
-    or ``engine_config``); with ``shards > 1`` pass ``engine_config``
-    only — every shard process constructs its own engine from it, and
-    :attr:`engine` is ``None``.
+    Engines are built from ``engine_config``: in-process when
+    ``shards == 1``, once per shard process otherwise. ``engine``
+    injects a ready engine as the single shard (``shards == 1`` only).
     """
 
     def __init__(
@@ -203,13 +168,6 @@ class TCPServer:
             raise ValueError("max_batch must be >= 1")
         if max_line_bytes < 1024:
             raise ValueError("max_line_bytes must be >= 1024")
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        if shards > 1 and engine is not None:
-            raise ValueError(
-                "shards > 1 spawns engine processes from engine_config; "
-                "a live engine instance cannot cross a fork"
-            )
         self.host = host
         self.shards = shards
         self.max_queue_depth = max_queue_depth
@@ -219,31 +177,18 @@ class TCPServer:
         self.max_line_bytes = max_line_bytes
         self.retry_after_ms = retry_after_ms
         self.stats = ServerStats()
-        self.latency = _LatencyWindows()
+        self.latency = LatencyWindow()
         self._requested_port = port
         self._requested_metrics_port = metrics_port
         self._bound_port: Optional[int] = None
         self._bound_metrics_port: Optional[int] = None
-        self._shard_pool: Optional[EngineShardPool] = None
-        if shards > 1:
-            # Fork the shard processes *before* the thread pool below
-            # spawns: a forked child must never inherit live executor
-            # threads (the workers call reset_pools_after_fork anyway,
-            # but the less thread state crosses the fork the better).
-            self._shard_pool = EngineShardPool(shards, engine_config)
-            self.engine: Optional[ServiceEngine] = None
-        else:
-            self.engine = (
-                engine
-                if engine is not None
-                else ServiceEngine(**(engine_config or {}))
-            )
-        # The in-process engine mutates shared session state with no
-        # internal locking; batches execute on pool threads strictly one
-        # engine call at a time. max_inflight > 1 still helps: the next
-        # batch is staged (queue hand-off, thread wake-up) while the
-        # current one computes. Shard pipes serialise per shard instead.
-        self._engine_lock = threading.Lock()
+        # Build the pool (forking any shard processes) *before* the
+        # thread pool below spawns: a forked child must never inherit
+        # live executor threads (the workers call reset_pools_after_fork
+        # anyway, but the less thread state crosses the fork the better).
+        self._shard_pool = EngineShardPool(
+            shards, engine_config, engine=engine
+        )
         self._pool = get_pool("thread", max(ENGINE_POOL_WIDTH, shards + 1))
         self._pending = 0
         self._draining = False
@@ -350,11 +295,10 @@ class TCPServer:
             await asyncio.gather(
                 *list(self._dispatch_tasks), return_exceptions=True
             )
-        if self._shard_pool is not None:
-            # Worker shutdown round-trips the pipes; keep it off the loop.
-            await asyncio.get_running_loop().run_in_executor(
-                self._pool, self._shard_pool.close
-            )
+        # Worker shutdown round-trips the pipes; keep it off the loop.
+        await asyncio.get_running_loop().run_in_executor(
+            self._pool, self._shard_pool.close
+        )
         if self._metrics_server is not None:
             self._metrics_server.close()
             await self._metrics_server.wait_closed()
@@ -486,18 +430,10 @@ class TCPServer:
             self.request_drain()
 
     def _route(self, request: AnyRequest) -> Optional[int]:
-        """Queue index for a request; ``None`` for front-end fan-out ops.
-
-        Unsharded servers route everything — including ``stats`` and
-        ``shutdown`` — to the single engine queue, preserving PR 9
-        behaviour byte for byte. Sharded servers route data ops by
-        dataset and answer the fan-out ops from the dispatcher.
-        """
-        if self._shard_pool is None:
-            return 0
+        """Queue index for a request; ``None`` for front-end fan-out ops."""
         if request.op in FANOUT_OPS:
             return None
-        return shard_for_dataset(getattr(request, "dataset", ""), self.shards)
+        return shard_for_dataset(request.dataset, self.shards)
 
     def _observe_latency(self, op: str, future: asyncio.Future) -> None:
         start = time.perf_counter()
@@ -510,15 +446,14 @@ class TCPServer:
     async def _serve_fanout(
         self, request: AnyRequest, future: asyncio.Future
     ) -> None:
-        """Answer a ``stats``/``shutdown`` request in sharded mode.
+        """Answer a ``stats``/``shutdown`` request from the dispatcher.
 
-        ``stats`` fans out to every shard (pipe round-trips happen on
-        the executor) and merges; ``shutdown`` is acked immediately with
-        the same payload an engine would send — the shard processes
+        ``stats`` fans out to every shard (on the executor, past the
+        batch windows) and merges; ``shutdown`` is acked immediately
+        with the same payload an engine would send — the shards
         themselves drain inside :meth:`drain`, *after* every admitted
         request has been answered.
         """
-        assert self._shard_pool is not None
         if request.op == "shutdown":
             response = Response(
                 op=request.op, id=request.id, result={"stopping": True}
@@ -613,8 +548,10 @@ class TCPServer:
         loop = asyncio.get_running_loop()
         requests = [request for request, _ in batch]
         try:
+            # The pool raises on a reply of the wrong length, so every
+            # admitted request gets exactly one response below.
             responses = await loop.run_in_executor(
-                self._pool, self._run_engine, shard, requests
+                self._pool, self._shard_pool.handle_batch, shard, requests
             )
         except Exception as exc:  # noqa: BLE001 — service boundary
             responses = [
@@ -626,35 +563,10 @@ class TCPServer:
             ]
         finally:
             self._inflights[shard].release()
-        # Settle per *admitted request*, never per response: a mis-sized
-        # engine reply must not leak _pending (which would permanently
-        # trip "overloaded") nor leave futures unresolved.
-        for pos, (request, future) in enumerate(batch):
+        for (_, future), response in zip(batch, responses):
             self._pending -= 1
-            if pos < len(responses):
-                response = responses[pos]
-            else:
-                response = Response(
-                    op=request.op, id=request.id, ok=False,
-                    error=(
-                        f"internal error: engine returned {len(responses)} "
-                        f"responses to {len(requests)} requests"
-                    ),
-                )
             if not future.done():
                 future.set_result(response)
-
-    def _run_engine(
-        self, shard: int, requests: list[AnyRequest]
-    ) -> list[Response]:
-        # Pool thread. Sharded: one pipe round-trip, serialised per
-        # shard by the shard's own lock. Unsharded: one engine call at
-        # a time — see _engine_lock.
-        if self._shard_pool is not None:
-            return self._shard_pool.handle_batch(shard, requests)
-        assert self.engine is not None
-        with self._engine_lock:
-            return self.engine.handle_batch(requests)
 
     # -- telemetry ---------------------------------------------------------
     def stats_dict(self) -> dict[str, Any]:
@@ -673,11 +585,10 @@ class TCPServer:
                 "retry_after_ms": self.retry_after_ms,
             },
         }
-        if self._shard_pool is not None:
-            telemetry = self._shard_pool.telemetry()
-            for entry, queue in zip(telemetry, self._queues):
-                entry["queue_depth"] = queue.qsize()
-            out["shard_telemetry"] = telemetry
+        telemetry = self._shard_pool.telemetry()
+        for entry, queue in zip(telemetry, self._queues):
+            entry["queue_depth"] = queue.qsize()
+        out["shard_telemetry"] = telemetry
         return out
 
     # -- metrics sidecar ---------------------------------------------------
@@ -748,26 +659,25 @@ class TCPServer:
             "Admission-to-answer latency quantiles (sliding window).",
             quantile_samples,
         )
-        if self._shard_pool is not None:
-            telemetry = self._shard_pool.telemetry()
-            emit(
-                "repro_shard_queue_depth", "gauge",
-                "Requests queued per shard.",
-                [(f'{{shard="{e["shard"]}"}}', queue.qsize())
-                 for e, queue in zip(telemetry, self._queues)],
-            )
-            emit(
-                "repro_shard_dispatches_total", "counter",
-                "Engine batches dispatched per shard.",
-                [(f'{{shard="{e["shard"]}"}}', e["dispatches"])
-                 for e in telemetry],
-            )
-            emit(
-                "repro_shard_requests_total", "counter",
-                "Requests dispatched per shard.",
-                [(f'{{shard="{e["shard"]}"}}', e["requests"])
-                 for e in telemetry],
-            )
+        telemetry = self._shard_pool.telemetry()
+        emit(
+            "repro_shard_queue_depth", "gauge",
+            "Requests queued per shard.",
+            [(f'{{shard="{e["shard"]}"}}', queue.qsize())
+             for e, queue in zip(telemetry, self._queues)],
+        )
+        emit(
+            "repro_shard_dispatches_total", "counter",
+            "Engine batches dispatched per shard.",
+            [(f'{{shard="{e["shard"]}"}}', e["dispatches"])
+             for e in telemetry],
+        )
+        emit(
+            "repro_shard_requests_total", "counter",
+            "Requests dispatched per shard.",
+            [(f'{{shard="{e["shard"]}"}}', e["requests"])
+             for e in telemetry],
+        )
         return "\n".join(lines) + "\n"
 
     async def _on_metrics(

@@ -1,12 +1,16 @@
-"""Multi-process engine shards behind the TCP front-end.
+"""The engine shards behind the TCP front-end.
 
-PR 9's front-end funnels every admitted request into a *single*
-:class:`~repro.service.engine.ServiceEngine` guarded by one lock, so
-the serving tier tops out at one core. This module spawns N engine
-worker *processes* and speaks the existing JSON-lines wire protocol to
-each of them over a :class:`multiprocessing.Pipe` — the same
+An :class:`EngineShardPool` is the front-end's only way to reach an
+engine, whatever the shard count. With one shard it holds a
+:class:`LocalShard`: an in-process
+:class:`~repro.service.engine.ServiceEngine` behind a lock. With N > 1
+it spawns N :class:`EngineShard` worker *processes* and speaks the
+existing JSON-lines wire protocol to each of them over a
+:class:`multiprocessing.Pipe` — the same
 :func:`repro.service.daemon.serve_forever` loop that serves stdio
 serves a shard, fed by small file-like adapters over the connection.
+Both shard kinds answer ``handle_batch(requests)``, ``alive`` and
+``close()``.
 
 Routing is **dataset-affine**: :func:`shard_for_dataset` maps a dataset
 name to ``crc32(name) % num_shards``. Warm session state (objectives,
@@ -132,6 +136,33 @@ def _shard_worker_main(  # pragma: no cover — runs in the child process
         conn.close()
 
 
+class LocalShard:
+    """The in-process engine as shard 0 of a one-shard pool.
+
+    The engine mutates shared session state with no internal locking,
+    so batches run strictly one at a time under the lock; the front-end
+    still overlaps the next batch's staging with the current solve.
+    """
+
+    index = 0
+    alive = True
+
+    def __init__(self, engine: ServiceEngine) -> None:
+        self.engine = engine
+        self.dispatches = 0
+        self.requests = 0
+        self._lock = threading.Lock()
+
+    def handle_batch(self, requests: list[AnyRequest]) -> list[Response]:
+        with self._lock:
+            self.dispatches += 1
+            self.requests += len(requests)
+            return self.engine.handle_batch(requests)
+
+    def close(self) -> None:
+        """Nothing to stop: the engine lives and dies with the process."""
+
+
 class EngineShard:
     """One engine worker process plus its parent-side transport.
 
@@ -174,13 +205,7 @@ class EngineShard:
                 reply = self._conn.recv()
             except EOFError:
                 raise RuntimeError(f"shard {self.index} exited mid-request") from None
-        responses = [decode_response(part) for part in reply.splitlines() if part]
-        if len(responses) != len(requests):
-            raise RuntimeError(
-                f"shard {self.index} answered {len(responses)} responses "
-                f"to {len(requests)} requests"
-            )
-        return responses
+        return [decode_response(part) for part in reply.splitlines() if part]
 
     def close(self) -> None:
         """Shut the worker down (graceful shutdown op, then terminate)."""
@@ -205,23 +230,39 @@ class EngineShard:
 
 
 class EngineShardPool:
-    """N dataset-affine engine worker processes.
+    """The engine shards of one front-end: local for one, processes for N.
 
-    ``engine_config`` holds :class:`ServiceEngine` constructor kwargs;
-    it is validated eagerly (by constructing a throwaway engine in the
-    parent) so a bad knob fails at startup, not inside a worker.
+    ``engine_config`` holds :class:`ServiceEngine` constructor kwargs.
+    One shard runs ``engine`` (or an engine built from the config) in
+    this process. N > 1 shards each build their own engine from the
+    config after the fork; the config is validated first (by
+    constructing a throwaway engine in the parent) so a bad knob fails
+    at startup, not inside a worker.
     """
 
     def __init__(
-        self, num_shards: int, engine_config: Optional[dict[str, Any]] = None
+        self,
+        num_shards: int,
+        engine_config: Optional[dict[str, Any]] = None,
+        *,
+        engine: Optional[ServiceEngine] = None,
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         config = dict(engine_config or {})
-        ServiceEngine(**config)  # validate knobs before forking anything
         self.num_shards = num_shards
         self.engine_config = config
-        self.shards = [EngineShard(i, config) for i in range(num_shards)]
+        if num_shards == 1:
+            local = engine if engine is not None else ServiceEngine(**config)
+            self.shards = [LocalShard(local)]
+        elif engine is not None:
+            raise ValueError(
+                "num_shards > 1 spawns engine processes from engine_config; "
+                "a live engine instance cannot cross a fork"
+            )
+        else:
+            ServiceEngine(**config)  # validate knobs before forking anything
+            self.shards = [EngineShard(i, config) for i in range(num_shards)]
         self._closed = False
 
     def shard_for(self, dataset: str) -> int:
@@ -230,23 +271,48 @@ class EngineShardPool:
     def handle_batch(
         self, shard_index: int, requests: list[AnyRequest]
     ) -> list[Response]:
-        return self.shards[shard_index].handle_batch(requests)
+        responses = self.shards[shard_index].handle_batch(requests)
+        if len(responses) != len(requests):
+            raise RuntimeError(
+                f"internal error: shard {shard_index} answered "
+                f"{len(responses)} responses to {len(requests)} requests"
+            )
+        return responses
 
     def stats_all(self, request: AnyRequest) -> list[Response]:
-        """Fan one ``stats`` request out to every shard, in shard order."""
-        return [shard.handle_batch([request])[0] for shard in self.shards]
+        """Fan one ``stats`` request out to every shard, in shard order.
+
+        A shard that fails (dead process, broken pipe) is answered with
+        an ``ok: false`` response in its slot; the others still report.
+        """
+        out = []
+        for index in range(self.num_shards):
+            try:
+                out.append(self.handle_batch(index, [request])[0])
+            except Exception as exc:  # noqa: BLE001 — per-shard boundary
+                out.append(
+                    Response(
+                        op=request.op,
+                        id=request.id,
+                        ok=False,
+                        error=f"{type(exc).__name__}: {exc}",
+                    )
+                )
+        return out
 
     def merged_stats(self, request: AnyRequest) -> Response:
         """One response merging every shard's stats block.
 
-        Scalar counters sum, sessions concatenate, and each shard's full
-        block rides along under ``shards`` so nothing is lost in the
-        merge.
+        One shard's response is returned unchanged. Over N shards,
+        scalar counters sum and sessions concatenate over the shards
+        that answered, and each shard's block rides along under
+        ``shards`` — a failed shard as ``{"shard": i, "ok": false,
+        "error": ...}`` — so the tier stays observable when a shard is
+        down.
         """
         per_shard = self.stats_all(request)
-        failed = next((r for r in per_shard if not r.ok), None)
-        if failed is not None:
-            return failed
+        if self.num_shards == 1:
+            return per_shard[0]
         merged: dict[str, Any] = {
             "requests_served": 0,
             "coalesced_requests": 0,
@@ -255,6 +321,11 @@ class EngineShardPool:
             "shards": [],
         }
         for index, response in enumerate(per_shard):
+            if not response.ok:
+                merged["shards"].append(
+                    {"shard": index, "ok": False, "error": response.error}
+                )
+                continue
             block = response.result
             for key in ("requests_served", "coalesced_requests", "coalesced_runs"):
                 merged[key] += int(block.get(key, 0))

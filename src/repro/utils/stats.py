@@ -12,14 +12,16 @@ seed-replication aggregates:
   algorithm beats another across seeds (used by EXPERIMENTS.md claims
   such as "BSM-Saturate dominates BSM-TSGreedy on f(S)").
 
-:func:`percentile` is the one latency quantile of the service: the
-engine's and the TCP front-end's sliding windows and the load
-generator's report all use it.
+:func:`percentile` is the one latency quantile of the service, and
+:class:`LatencyWindow` its one per-op latency window: the engine and the
+TCP front-end each keep one, and the load generator's report uses the
+same quantile.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -27,6 +29,10 @@ import numpy as np
 
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive_int
+
+#: Latency samples retained per op (a sliding window, so a long-lived
+#: server reports recent behaviour; the ``count`` field stays cumulative).
+LATENCY_WINDOW = 512
 
 
 @dataclass(frozen=True)
@@ -80,6 +86,38 @@ def percentile(samples: Iterable[float], q: float) -> float:
         return 0.0
     rank = min(len(ordered), max(1, math.ceil(len(ordered) * q)))
     return ordered[rank - 1]
+
+
+class LatencyWindow:
+    """Per-op latency: cumulative counts plus a sliding sample window."""
+
+    def __init__(self, window: int = LATENCY_WINDOW) -> None:
+        self._window = window
+        self._counts: dict[str, int] = {}
+        self._samples: dict[str, deque] = {}
+
+    def record(self, op: str, seconds: float) -> None:
+        self._counts[op] = self._counts.get(op, 0) + 1
+        samples = self._samples.get(op)
+        if samples is None:
+            samples = self._samples[op] = deque(maxlen=self._window)
+        samples.append(seconds)
+
+    def snapshot(self) -> dict[str, dict[str, float]]:
+        """Per-op ``{count, mean, p50, p99}``.
+
+        ``count`` is cumulative; ``mean`` and the nearest-rank quantiles
+        (seconds) cover the last ``window`` samples of the op.
+        """
+        return {
+            op: {
+                "count": self._counts[op],
+                "mean": sum(samples) / len(samples),
+                "p50": percentile(samples, 0.50),
+                "p99": percentile(samples, 0.99),
+            }
+            for op, samples in self._samples.items()
+        }
 
 
 def bootstrap_ci(

@@ -17,6 +17,7 @@ import pytest
 from repro.service.daemon import serve_forever
 from repro.service.engine import ServiceEngine
 from repro.service.loadgen import LoadScript, parse_mix, percentile, run_load
+from repro.service.protocol import encode_response, request_from_dict
 from repro.service.server import TCPServer
 from repro.utils.parallel import WorkerPool, fork_available, get_pool
 
@@ -177,10 +178,51 @@ class TestTCPBasics:
         assert server_block["draining"] is False
 
 
+class TestOneServingPath:
+    def test_unsharded_stats_and_shutdown_match_the_engine(self):
+        """The in-process engine is shard 0: ``stats`` keeps the engine's
+        key set (plus the front-end's ``server`` block), and the
+        front-end acks ``shutdown`` with the engine's own bytes."""
+        shutdowns = [
+            {"op": "shutdown", "id": "v1"},
+            {"schema": 2, "op": "shutdown", "id": "v2"},
+        ]
+
+        async def scenario():
+            server = await started_server(batch_window=0.0)
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            stats = await rpc(reader, writer, {"op": "stats", "id": "s"})
+            writer.write((json.dumps(shutdowns) + "\n").encode("utf-8"))
+            await writer.drain()
+            acks = [await reader.readline() for _ in shutdowns]
+            await asyncio.wait_for(server.wait_closed(), 60.0)
+            writer.close()
+            await writer.wait_closed()
+            return stats, acks
+
+        stats, acks = run_async(scenario())
+        assert stats["ok"]
+        result = dict(stats["result"])
+        del result["server"]
+        assert set(result) == set(ServiceEngine().stats())
+        engine = ServiceEngine()
+        assert acks == [
+            (
+                encode_response(engine.handle(request_from_dict(payload)))
+                + "\n"
+            ).encode("utf-8")
+            for payload in shutdowns
+        ]
+
+
 class TestCoalescing:
     def test_cross_connection_solves_coalesce(self):
+        engine = ServiceEngine()
+
         async def scenario():
-            server = await started_server(batch_window=0.3)
+            server = await started_server(engine, batch_window=0.3)
             try:
                 conn_a = await asyncio.open_connection(server.host, server.port)
                 conn_b = await asyncio.open_connection(server.host, server.port)
@@ -198,8 +240,8 @@ class TestCoalescing:
                     await writer.drain()
                 resp_a = json.loads(await conn_a[0].readline())
                 resp_b = json.loads(await conn_b[0].readline())
-                runs = server.engine.coalesced_runs
-                shared = server.engine.coalesced_requests
+                runs = engine.coalesced_runs
+                shared = engine.coalesced_requests
                 for _, writer in (conn_a, conn_b):
                     writer.close()
             finally:
@@ -309,7 +351,7 @@ class TestConnectionFailures:
                 writer2.close()
             finally:
                 await server.drain()
-            return again, server.engine.requests_served
+            return again, engine.requests_served
 
         again, served = run_async(scenario())
         assert again["ok"]
@@ -368,7 +410,7 @@ class TestConnectionFailures:
                 resp_a = json.loads(await conn_a[0].readline())
                 resp_b = json.loads(await conn_b[0].readline())
                 stats = await rpc(*conn_a, {"op": "stats", "id": "s"})
-                runs = server.engine.coalesced_runs
+                runs = stats["result"]["coalesced_runs"]
                 for _, writer in (conn_a, conn_b):
                     writer.close()
             finally:

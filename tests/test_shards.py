@@ -10,6 +10,8 @@ runs the same deterministic engine.
 
 import asyncio
 import json
+import os
+import signal
 
 import pytest
 
@@ -249,6 +251,48 @@ class TestShardedServer:
         assert stats.requests_total == 5
 
 
+class TestDeadShard:
+    def test_stats_survives_a_dead_shard(self):
+        async def scenario():
+            server = await started_server(
+                shards=2, engine_config={}, batch_window=0.0
+            )
+            try:
+                dead = server._shard_pool.shards[shard_for_dataset(DATASET_A, 2)]
+                os.kill(dead._process.pid, signal.SIGKILL)
+                dead._process.join(30.0)
+                assert not dead.alive
+                responses = await send_sequential(
+                    server.host,
+                    server.port,
+                    [
+                        {"schema": 2, "op": "stats", "id": "s"},
+                        _solve("b", DATASET_B),
+                        _solve("a", DATASET_A),
+                    ],
+                )
+                return responses, server.stats
+            finally:
+                await server.drain()
+
+        (stats, live, dead), counters = run_async(scenario())
+        assert stats["ok"]
+        blocks = stats["result"]["shards"]
+        failed = [block for block in blocks if block.get("ok") is False]
+        assert len(failed) == 1
+        assert failed[0]["shard"] == shard_for_dataset(DATASET_A, 2)
+        assert "not running" in failed[0]["error"]
+        # Counters cover the live shard only (it has served this stats).
+        assert stats["result"]["requests_served"] == 1
+        assert live["ok"] and live["result"]["solution"]
+        assert not dead["ok"]
+        assert counters.requests_total == (
+            counters.requests_admitted
+            + counters.requests_rejected
+            + counters.requests_invalid
+        )
+
+
 class TestMetricsSidecar:
     def test_metrics_scrape_matches_stats_op(self):
         async def scenario():
@@ -333,4 +377,5 @@ class TestMetricsSidecar:
         body = raw.split("\r\n\r\n", 1)[1]
         assert "repro_requests_total 1" in body
         assert "repro_shards 1" in body
-        assert "repro_shard_queue_depth" not in body  # sharded-only gauges
+        # Shard 0 is the in-process engine; its gauges are always there.
+        assert 'repro_shard_queue_depth{shard="0"} 0' in body

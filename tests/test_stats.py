@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.utils.stats import (
+    LatencyWindow,
     aggregate,
     bootstrap_ci,
     paired_sign_test,
@@ -42,6 +43,33 @@ class TestPercentile:
         assert percentile([2.0, 1.0], 1.0) == 2.0
         with pytest.raises(ValueError):
             percentile([1.0], 1.5)
+
+
+class TestLatencyWindow:
+    @pytest.mark.parametrize(
+        "window, samples",
+        [
+            (512, [0.3, 0.1, 0.2]),  # all kept: the median is the middle
+            (2, [5.0, 1.0, 3.0]),  # the oldest sample slides out
+            (4, [float(v) for v in range(10)]),
+        ],
+    )
+    def test_counts_are_cumulative_quantiles_windowed(self, window, samples):
+        latency = LatencyWindow(window)
+        assert latency.snapshot() == {}
+        for seconds in samples:
+            latency.record("solve", seconds)
+        latency.record("stats", 1.0)
+        kept = samples[-window:]
+        assert latency.snapshot() == {
+            "solve": {
+                "count": len(samples),
+                "mean": sum(kept) / len(kept),
+                "p50": percentile(kept, 0.50),
+                "p99": percentile(kept, 0.99),
+            },
+            "stats": {"count": 1, "mean": 1.0, "p50": 1.0, "p99": 1.0},
+        }
 
 
 class TestAggregate:
