@@ -409,12 +409,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_request(args: argparse.Namespace) -> int:
+    import json
+
     from repro.service import ServiceEngine, encode_response
     from repro.service.protocol import (
         ProtocolError,
         decode_request,
         decode_response,
-        encode_request,
     )
 
     try:
@@ -430,12 +431,13 @@ def cmd_request(args: argparse.Namespace) -> int:
             print(f"--timeout must be >= 0, got {args.timeout}", file=sys.stderr)
             return 2
         timeout = args.timeout or None  # 0 = wait forever
-        # Re-encode the validated request: a flat request goes out as
-        # v1 bytes, a typed one as the v2 envelope — same version in,
-        # same version out.
+        # Send the validated payload as given, compact-encoded: the
+        # decoder lifts v1 to the typed shape, and re-encoding that would
+        # turn a v1 request into a v2 envelope with v2's stricter checks.
+        outgoing = json.dumps(json.loads(args.request_json), separators=(",", ":"))
         try:
             with socket.create_connection((host, port), timeout=timeout) as sock:
-                sock.sendall((encode_request(request) + "\n").encode("utf-8"))
+                sock.sendall((outgoing + "\n").encode("utf-8"))
                 with sock.makefile("r", encoding="utf-8") as stream:
                     line = stream.readline().strip()
         except socket.timeout:

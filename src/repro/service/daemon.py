@@ -16,10 +16,7 @@ work (pinned by ``tests/test_server.py``). Malformed lines produce an
 
 The loop is single-transport; the asyncio TCP front-end
 (:mod:`repro.service.server`) speaks the same wire format over many
-concurrent connections. Engine shard workers
-(:mod:`repro.service.shards`) reuse this exact loop over a
-``multiprocessing.Pipe``: each pipe message is one input line, and the
-per-line flush marks the reply-message boundary.
+concurrent connections.
 """
 
 from __future__ import annotations
@@ -29,9 +26,9 @@ from typing import IO, Optional
 
 from repro.service.engine import ServiceEngine
 from repro.service.protocol import (
-    AnyRequest,
     ProtocolError,
     Response,
+    ServiceRequest,
     encode_response,
     request_from_dict,
 )
@@ -68,7 +65,7 @@ def serve_forever(
         # failures keep their position (and id, when present) so clients
         # can pair responses positionally or by id.
         slots: list[Optional[Response]] = [None] * len(batch)
-        positioned: list[tuple[int, AnyRequest]] = []
+        positioned: list[tuple[int, ServiceRequest]] = []
         for pos, member in enumerate(batch):
             try:
                 positioned.append((pos, request_from_dict(member)))

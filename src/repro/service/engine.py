@@ -34,7 +34,7 @@ from typing import Any, Optional
 
 from repro.core.result import SolverResult, make_result
 from repro.datasets.registry import DATASETS, load_dataset
-from repro.service.protocol import AnyRequest, Request, Response
+from repro.service.protocol import Response, ServiceRequest
 from repro.service.session import SolverSession
 from repro.utils.caching import BoundedCache
 from repro.utils.parallel import pool_stats, resolve_backend
@@ -49,21 +49,6 @@ COALESCABLE = ("greedy",)
 
 #: Default capacity of the session registry (sessions, LRU).
 MAX_SESSIONS = 8
-
-
-def _lift(request: AnyRequest) -> AnyRequest:
-    """Normalise a flat v1 request to its per-op typed payload.
-
-    The engine's canonical representation is the typed one; v1 clients
-    (and tests constructing :class:`Request` directly) are lifted at the
-    dispatch boundary so every internal path sees one shape.
-    """
-    if isinstance(request, Request):
-        try:
-            return request.typed()
-        except KeyError:
-            raise ValueError(f"unhandled op {request.op!r}") from None
-    return request
 
 
 class ServiceEngine:
@@ -169,12 +154,12 @@ class ServiceEngine:
         }
 
     # -- dispatch ----------------------------------------------------------
-    def handle(self, request: AnyRequest) -> Response:
+    def handle(self, request: ServiceRequest) -> Response:
         """Process one request (no coalescing)."""
         self.requests_served += 1
         start = time.perf_counter()
         try:
-            return self._dispatch(_lift(request))
+            return self._dispatch(request)
         except Exception as exc:  # noqa: BLE001 — service boundary
             return Response(
                 op=request.op, id=request.id, ok=False,
@@ -183,23 +168,14 @@ class ServiceEngine:
         finally:
             self.latency.record(request.op, time.perf_counter() - start)
 
-    def handle_batch(self, requests: list[AnyRequest]) -> list[Response]:
+    def handle_batch(self, requests: list[ServiceRequest]) -> list[Response]:
         """Process concurrent requests, coalescing compatible solves.
 
         A batch may mix wire versions (a v1 flat solve and a v2 typed
-        one coalesce together): every member is lifted to its typed
-        payload before grouping, so the group key never depends on how
-        the request arrived.
+        one coalesce together): the decoder hands over both as typed
+        payloads, so the group key never depends on how the request
+        arrived.
         """
-        lifted: list[AnyRequest] = []
-        for request in requests:
-            try:
-                lifted.append(_lift(request))
-            except ValueError:
-                # An op the lift table doesn't know (hand-constructed
-                # flat request): keep it — handle() reports the error.
-                lifted.append(request)
-        requests = lifted
         responses: list[Optional[Response]] = [None] * len(requests)
         groups: dict[tuple, list[int]] = {}
         for pos, request in enumerate(requests):
@@ -238,7 +214,7 @@ class ServiceEngine:
             for request, response in zip(requests, responses)
         ]
 
-    def _dispatch(self, request: AnyRequest) -> Response:
+    def _dispatch(self, request: ServiceRequest) -> Response:
         op = request.op
         if op == "solve":
             return self._op_solve(request)
@@ -255,11 +231,11 @@ class ServiceEngine:
         if op == "shutdown":
             # The daemon loop terminates after sending this ack.
             return Response(op=op, id=request.id, result={"stopping": True})
-        raise ValueError(f"unhandled op {op!r}")  # pragma: no cover
+        raise ValueError(f"unhandled op {op!r}")
 
     # -- ops ---------------------------------------------------------------
     def _session_for(
-        self, request: AnyRequest
+        self, request: ServiceRequest
     ) -> tuple[SolverSession, bool]:
         """Resolve the request's session plus whether it already existed."""
         hits_before = self._sessions.stats.hits
@@ -316,7 +292,7 @@ class ServiceEngine:
             "extra": extra,
         }
 
-    def _op_solve(self, request: AnyRequest) -> Response:
+    def _op_solve(self, request: ServiceRequest) -> Response:
         session, reused = self._session_for(request)
         probe = self._WarmProbe(session, reused, session.objective_cache)
         result = session.solve(
@@ -343,7 +319,7 @@ class ServiceEngine:
             result=payload, cache=session.stats(),
         )
 
-    def _op_evaluate(self, request: AnyRequest) -> Response:
+    def _op_evaluate(self, request: ServiceRequest) -> Response:
         session, reused = self._session_for(request)
         probe = self._WarmProbe(
             session, reused,
@@ -366,7 +342,7 @@ class ServiceEngine:
             cache=session.stats(),
         )
 
-    def _op_update(self, request: AnyRequest) -> Response:
+    def _op_update(self, request: ServiceRequest) -> Response:
         session, reused = self._session_for(request)
         # Graph mutations land before the maximizer is fetched, so the
         # fetch repairs the warm objective against the batch's collapsed
@@ -406,7 +382,7 @@ class ServiceEngine:
             cache=session.stats(),
         )
 
-    def _op_sweep(self, request: AnyRequest) -> Response:
+    def _op_sweep(self, request: ServiceRequest) -> Response:
         from repro.experiments.harness import sweep_k, sweep_tau
 
         # Warm here means dataset-level reuse: the sweep's sampling
@@ -460,7 +436,7 @@ class ServiceEngine:
             cache=session.stats(),
         )
 
-    def _op_pareto(self, request: AnyRequest) -> Response:
+    def _op_pareto(self, request: ServiceRequest) -> Response:
         from repro.experiments.harness import sweep_tau
         from repro.experiments.pareto import hypervolume, pareto_frontier
 
@@ -498,7 +474,7 @@ class ServiceEngine:
         )
 
     # -- coalescing --------------------------------------------------------
-    def _solve_coalesced(self, requests: list[AnyRequest]) -> list[Response]:
+    def _solve_coalesced(self, requests: list[ServiceRequest]) -> list[Response]:
         """One shared greedy run serving every request in the group.
 
         All requests share (algorithm, dataset, seed, im_samples,
@@ -519,7 +495,7 @@ class ServiceEngine:
         # over-budget member fails alone, exactly as its sequential
         # solve would, without poisoning the shared run.
         rejected: dict[int, Response] = {}
-        admitted: list[AnyRequest] = []
+        admitted: list[ServiceRequest] = []
         for request in requests:
             if request.k > objective.num_items:
                 rejected[id(request)] = Response(

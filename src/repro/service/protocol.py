@@ -19,12 +19,15 @@ Two wire versions are spoken side by side:
   the data ops) are validated at decode time instead of surfacing as an
   engine error.
 
-:meth:`Request.typed` lifts a decoded v1 request into its per-op
-payload, which is the engine's canonical representation; fields the op
-never read are dropped in the lift (v1 ignored them too). Both
-directions round-trip exactly — ``decode_request(encode_request(r)) ==
-r`` for flat and typed requests alike (property-tested with hypothesis
-in ``tests/test_properties_service.py``).
+Whatever the version, :func:`request_from_dict` returns the per-op typed
+payload (a :data:`ServiceRequest`), so one request shape exists past the
+decoder. A v1 object is validated field by field as v1 always was, then
+lifted with :meth:`Request.typed`; fields the op never reads are
+dropped in the lift (v1 ignored them too). :class:`Request` itself is
+the v1 *builder*: :func:`encode_request` writes it as v1 bytes, and
+``decode_request(encode_request(r)) == r.typed()``, while typed payloads
+round-trip exactly (property-tested with hypothesis in
+``tests/test_properties_service.py``).
 """
 
 from __future__ import annotations
@@ -62,14 +65,15 @@ class ProtocolError(ValueError):
 
 @dataclass(frozen=True)
 class Request:
-    """One flat v1 service request (also the convenience constructor).
+    """One flat v1 service request: the v1 wire builder.
 
     Only ``op`` is universally meaningful; the other fields matter per
     op (``solve`` reads ``dataset``/``algorithm``/``k``/``tau``,
     ``evaluate`` reads ``items``, ``update`` reads ``events``, the sweep
     ops read ``parameter``/``values``/``algorithms``). Unused fields
-    keep their defaults and are ignored by the engine. :meth:`typed`
-    lifts the request into its per-op v2 payload.
+    keep their defaults and are ignored by the engine.
+    :func:`encode_request` writes it as a v1 line; the decoder lifts
+    what it reads back into the per-op payload with :meth:`typed`.
     """
 
     op: str
@@ -232,9 +236,6 @@ ServiceRequest = Union[
     ShutdownRequest,
 ]
 
-#: What the decoder may return: a flat v1 request or a typed payload.
-AnyRequest = Union[Request, ServiceRequest]
-
 
 @dataclass(frozen=True)
 class Response:
@@ -374,7 +375,7 @@ def _validate_field(name: str, value: Any) -> Any:
     raise AssertionError(f"unvalidated field {name!r}")
 
 
-def _check_ranges(request: AnyRequest) -> None:
+def _check_ranges(request: Union[Request, ServiceRequest]) -> None:
     """Value-range checks; each applies only when the payload has the
     field, so one routine serves the flat request and every typed one."""
     if hasattr(request, "k"):
@@ -458,17 +459,19 @@ def typed_from_args(
     return request
 
 
-def request_from_dict(payload: Any) -> AnyRequest:
-    """Validate and normalise one request object (either wire version).
+def request_from_dict(payload: Any) -> ServiceRequest:
+    """Validate one request object (either wire version) into its typed
+    payload.
 
-    An object without a ``"schema"`` key is a v1 flat request and
-    decodes to :class:`Request`; ``"schema": 1`` is the same with the
-    version spelled out. ``"schema": 2`` selects the enveloped per-op
-    decode and returns a typed payload.
+    An object without a ``"schema"`` key is a v1 flat request;
+    ``"schema": 1`` is the same with the version spelled out. Every
+    flat field is validated as v1 always was (so v1 error text is
+    unchanged), then lifted to the per-op payload. ``"schema": 2``
+    selects the enveloped per-op decode.
     """
     _require(isinstance(payload, dict), "request must be a JSON object")
     if "schema" not in payload:
-        return _request_from_flat(payload)
+        return _request_from_flat(payload).typed()
     schema = payload["schema"]
     _require(
         isinstance(schema, int) and not isinstance(schema, bool),
@@ -477,7 +480,7 @@ def request_from_dict(payload: Any) -> AnyRequest:
     if schema == 1:
         flat = dict(payload)
         del flat["schema"]
-        return _request_from_flat(flat)
+        return _request_from_flat(flat).typed()
     _require(
         schema == SCHEMA_VERSION,
         f"unsupported schema {schema}; this service speaks v1 and "
@@ -501,7 +504,7 @@ def _json_safe(name: str, value: Any) -> Any:
     return value
 
 
-def request_to_dict(request: AnyRequest) -> dict[str, Any]:
+def request_to_dict(request: Union[Request, ServiceRequest]) -> dict[str, Any]:
     """JSON-safe dict form: v1 flat for :class:`Request` (bytes
     unchanged from schema 1), v2 envelope for typed payloads."""
     if isinstance(request, Request):
@@ -558,11 +561,11 @@ def response_from_dict(payload: Any) -> Response:
     return Response(**kwargs)
 
 
-def encode_request(request: AnyRequest) -> str:
+def encode_request(request: Union[Request, ServiceRequest]) -> str:
     return json.dumps(request_to_dict(request), separators=(",", ":"))
 
 
-def decode_request(line: str) -> AnyRequest:
+def decode_request(line: str) -> ServiceRequest:
     try:
         payload = json.loads(line)
     except json.JSONDecodeError as exc:

@@ -69,9 +69,9 @@ from typing import Any, Optional
 from repro.service.daemon import error_response
 from repro.service.engine import ServiceEngine
 from repro.service.protocol import (
-    AnyRequest,
     ProtocolError,
     Response,
+    ServiceRequest,
     encode_response,
     request_from_dict,
 )
@@ -380,7 +380,7 @@ class TCPServer:
             return
         batch = payload if isinstance(payload, list) else [payload]
         slots: list[Optional[Response]] = [None] * len(batch)
-        admitted: list[tuple[int, AnyRequest, asyncio.Future]] = []
+        admitted: list[tuple[int, ServiceRequest, asyncio.Future]] = []
         shutdown_requested = False
         loop = asyncio.get_running_loop()
         for pos, member in enumerate(batch):
@@ -429,7 +429,7 @@ class TCPServer:
         if shutdown_requested:
             self.request_drain()
 
-    def _route(self, request: AnyRequest) -> Optional[int]:
+    def _route(self, request: ServiceRequest) -> Optional[int]:
         """Queue index for a request; ``None`` for front-end fan-out ops."""
         if request.op in FANOUT_OPS:
             return None
@@ -444,7 +444,7 @@ class TCPServer:
         )
 
     async def _serve_fanout(
-        self, request: AnyRequest, future: asyncio.Future
+        self, request: ServiceRequest, future: asyncio.Future
     ) -> None:
         """Answer a ``stats``/``shutdown`` request from the dispatcher.
 
@@ -543,7 +543,7 @@ class TCPServer:
                 break
 
     async def _dispatch_batch(
-        self, shard: int, batch: list[tuple[AnyRequest, asyncio.Future]]
+        self, shard: int, batch: list[tuple[ServiceRequest, asyncio.Future]]
     ) -> None:
         loop = asyncio.get_running_loop()
         requests = [request for request, _ in batch]

@@ -4,13 +4,9 @@ An :class:`EngineShardPool` is the front-end's only way to reach an
 engine, whatever the shard count. With one shard it holds a
 :class:`LocalShard`: an in-process
 :class:`~repro.service.engine.ServiceEngine` behind a lock. With N > 1
-it spawns N :class:`EngineShard` worker *processes* and speaks the
-existing JSON-lines wire protocol to each of them over a
-:class:`multiprocessing.Pipe` — the same
-:func:`repro.service.daemon.serve_forever` loop that serves stdio
-serves a shard, fed by small file-like adapters over the connection.
-Both shard kinds answer ``handle_batch(requests)``, ``alive`` and
-``close()``.
+it spawns N :class:`EngineShard` worker *processes*, each running its
+own engine behind a :class:`multiprocessing.Pipe`. Both shard kinds
+answer ``handle_batch(requests)``, ``alive`` and ``close()``.
 
 Routing is **dataset-affine**: :func:`shard_for_dataset` maps a dataset
 name to ``crc32(name) % num_shards``. Warm session state (objectives,
@@ -22,13 +18,15 @@ than ``hash()``: Python string hashing is salted per process, and the
 routing key must be stable across front-end restarts for operators
 reasoning about shard load.
 
-Transport framing: the front-end sends one pipe message per request
-line — a JSON array of encoded requests, exactly the wire batch format
-— and receives one pipe message back holding the newline-joined
-response lines for that batch. ``serve_forever`` flushes once per
-input line, so the adapter's ``flush`` is the message boundary. A
-``shutdown`` op terminates the worker loop; the worker acks it before
-exiting (same contract as the stdio daemon).
+Transport framing: the front-end sends one pipe message per batch — the
+list of typed requests the decoder produced — and receives one message
+back, the list of :class:`~repro.service.protocol.Response` objects in
+request order. Both are pickled by the pipe. That is safe because only
+the front-end and the shard processes it started ever talk over a
+shard pipe; nothing read from a socket is unpickled, since network
+input is JSON and goes through the decoder before it reaches a shard.
+A batch that contains a ``shutdown`` op is answered, then the worker
+exits; ``None`` or EOF on the pipe stops it too.
 
 Determinism: each shard is a full engine with the same construction
 knobs, and the engine is deterministic per request stream. Because
@@ -47,12 +45,7 @@ from multiprocessing.connection import Connection
 from typing import Any, Optional
 
 from repro.service.engine import ServiceEngine
-from repro.service.protocol import (
-    AnyRequest,
-    Response,
-    decode_response,
-    encode_request,
-)
+from repro.service.protocol import Response, ServiceRequest, ShutdownRequest
 from repro.utils.parallel import process_context, reset_pools_after_fork
 
 #: Seconds to wait for a shard to ack shutdown before terminating it.
@@ -71,67 +64,29 @@ def shard_for_dataset(dataset: str, num_shards: int) -> int:
     return zlib.crc32(dataset.encode("utf-8")) % num_shards
 
 
-class _ConnLines:
-    """Iterate a pipe connection as the daemon loop's input stream.
-
-    Each received message is one input line. ``None`` or EOF ends the
-    stream, which ``serve_forever`` treats exactly like stdin EOF.
-    """
-
-    def __init__(self, conn: Connection) -> None:
-        self._conn = conn
-
-    def __iter__(self) -> "_ConnLines":
-        return self
-
-    def __next__(self) -> str:
-        try:
-            message = self._conn.recv()
-        except EOFError:
-            raise StopIteration from None
-        if message is None:
-            raise StopIteration
-        return message
-
-
-class _ConnEmitter:
-    """Collect the daemon loop's writes; ``flush`` sends one message.
-
-    ``serve_forever`` writes each response line then flushes once per
-    input line, so one flush == one reply message == the full batch
-    reply, preserving the line-level framing across the pipe.
-    """
-
-    def __init__(self, conn: Connection) -> None:
-        self._conn = conn
-        self._parts: list[str] = []
-
-    def write(self, text: str) -> None:
-        self._parts.append(text)
-
-    def flush(self) -> None:
-        if not self._parts:
-            return
-        message = "".join(self._parts)
-        self._parts = []
-        try:
-            self._conn.send(message)
-        except (BrokenPipeError, OSError):  # pragma: no cover — parent gone
-            pass
-
-
 def _shard_worker_main(  # pragma: no cover — runs in the child process
     conn: Connection, engine_kwargs: dict[str, Any]
 ) -> None:
-    """Entry point of one shard process: a daemon loop over the pipe."""
-    from repro.service.daemon import serve_forever
-
+    """Entry point of one shard process: answer typed batches over the pipe."""
     # A fork copies the parent's pool registry but none of its worker
     # threads; drop it before the engine's first parallel dispatch.
     reset_pools_after_fork()
     engine = ServiceEngine(**engine_kwargs)
     try:
-        serve_forever(_ConnLines(conn), _ConnEmitter(conn), engine=engine)
+        while True:
+            try:
+                requests = conn.recv()
+            except EOFError:  # the front-end closed its end
+                break
+            if requests is None:
+                break
+            responses = engine.handle_batch(requests)
+            try:
+                conn.send(responses)
+            except OSError:  # the front-end is gone
+                break
+            if any(request.op == "shutdown" for request in requests):
+                break
     finally:
         conn.close()
 
@@ -153,7 +108,7 @@ class LocalShard:
         self.requests = 0
         self._lock = threading.Lock()
 
-    def handle_batch(self, requests: list[AnyRequest]) -> list[Response]:
+    def handle_batch(self, requests: list[ServiceRequest]) -> list[Response]:
         with self._lock:
             self.dispatches += 1
             self.requests += len(requests)
@@ -192,27 +147,25 @@ class EngineShard:
     def alive(self) -> bool:
         return self._process.is_alive()
 
-    def handle_batch(self, requests: list[AnyRequest]) -> list[Response]:
-        """Round-trip one wire batch through the shard process."""
-        line = "[" + ",".join(encode_request(r) for r in requests) + "]"
+    def handle_batch(self, requests: list[ServiceRequest]) -> list[Response]:
+        """Round-trip one typed batch through the shard process."""
         with self._lock:
             if not self._process.is_alive():
                 raise RuntimeError(f"shard {self.index} is not running")
             self.dispatches += 1
             self.requests += len(requests)
-            self._conn.send(line)
+            self._conn.send(requests)
             try:
-                reply = self._conn.recv()
+                return self._conn.recv()
             except EOFError:
                 raise RuntimeError(f"shard {self.index} exited mid-request") from None
-        return [decode_response(part) for part in reply.splitlines() if part]
 
     def close(self) -> None:
         """Shut the worker down (graceful shutdown op, then terminate)."""
         with self._lock:
             if self._process.is_alive():
                 try:
-                    self._conn.send('{"op":"shutdown","id":"__drain__"}')
+                    self._conn.send([ShutdownRequest(id="__drain__")])
                     # Drain the ack (and any straggler replies) so the
                     # child's final send never blocks on a full pipe.
                     while self._conn.poll(SHUTDOWN_TIMEOUT):
@@ -269,7 +222,7 @@ class EngineShardPool:
         return shard_for_dataset(dataset, self.num_shards)
 
     def handle_batch(
-        self, shard_index: int, requests: list[AnyRequest]
+        self, shard_index: int, requests: list[ServiceRequest]
     ) -> list[Response]:
         responses = self.shards[shard_index].handle_batch(requests)
         if len(responses) != len(requests):
@@ -279,7 +232,7 @@ class EngineShardPool:
             )
         return responses
 
-    def stats_all(self, request: AnyRequest) -> list[Response]:
+    def stats_all(self, request: ServiceRequest) -> list[Response]:
         """Fan one ``stats`` request out to every shard, in shard order.
 
         A shard that fails (dead process, broken pipe) is answered with
@@ -300,7 +253,7 @@ class EngineShardPool:
                 )
         return out
 
-    def merged_stats(self, request: AnyRequest) -> Response:
+    def merged_stats(self, request: ServiceRequest) -> Response:
         """One response merging every shard's stats block.
 
         One shard's response is returned unchanged. Over N shards,

@@ -846,6 +846,62 @@ class TestRequestCLITimeout:
         assert args.timeout == 0.0
 
 
+class TestRequestCLIWireVersion:
+    """`repro request --tcp` sends the wire version it was given. The
+    decoder lifts v1 to the typed shape, so re-encoding the decoded
+    request would send a v1 input as a v2 envelope, and a v1 solve with
+    no dataset would get v2's decode error instead of the engine's."""
+
+    CANNED = '{"op":"solve","id":"w","ok":true,"result":{}}'
+
+    def _send(self, request_json):
+        import socket
+        import threading
+
+        from repro.cli import main
+
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        port = listener.getsockname()[1]
+        received = []
+
+        def answer():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rw", encoding="utf-8") as stream:
+                received.append(stream.readline())
+                stream.write(self.CANNED + "\n")
+                stream.flush()
+
+        server = threading.Thread(target=answer, daemon=True)
+        server.start()
+        try:
+            status = main([
+                "request", request_json,
+                "--tcp", f"127.0.0.1:{port}", "--timeout", "30",
+            ])
+        finally:
+            server.join(timeout=30)
+            listener.close()
+        assert status == 0
+        assert len(received) == 1 and received[0].endswith("\n")
+        return json.loads(received[0])
+
+    def test_v1_input_arrives_without_a_schema_key(self, capsys):
+        sent = self._send('{"op": "solve", "id": "w"}')
+        assert "schema" not in sent
+        assert sent == {"op": "solve", "id": "w"}
+        assert capsys.readouterr().out.strip() == self.CANNED
+
+    def test_v2_input_arrives_as_the_envelope(self, capsys):
+        envelope = {
+            "schema": 2, "op": "solve", "id": "w",
+            "args": {"dataset": DATASET, "k": 3},
+        }
+        assert self._send(json.dumps(envelope)) == envelope
+        assert capsys.readouterr().out.strip() == self.CANNED
+
+
 class TestWorkerPoolSubmit:
     def test_thread_pool_satisfies_executor_protocol(self):
         pool = get_pool("thread", 2)

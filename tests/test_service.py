@@ -644,6 +644,20 @@ class TestEngineOps:
         response = engine.handle(Request(op="solve", dataset="nope"))
         assert not response.ok and "unknown dataset" in response.error
 
+    def test_unknown_op_is_clean_error(self):
+        # A hand-built flat request reaches the engine as it is (only
+        # the decoder lifts): an op with no handler is answered, alone
+        # or inside a batch, without disturbing its neighbours.
+        engine = ServiceEngine()
+        response = engine.handle(Request(op="bogus", id="x"))
+        assert not response.ok
+        assert response.error == "ValueError: unhandled op 'bogus'"
+        solve = Request(op="solve", id="s", dataset="rand-mc-c2", k=2)
+        batch = engine.handle_batch([Request(op="bogus", id="x"), solve])
+        assert [r.id for r in batch] == ["x", "s"]
+        assert batch[0] == response
+        assert batch[1].ok and batch[1].result["size"] == 2
+
     def test_stats_op(self):
         engine = ServiceEngine()
         engine.handle(Request(op="solve", dataset="rand-mc-c2", k=2,

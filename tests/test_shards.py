@@ -137,6 +137,9 @@ class TestShardedServer:
                 "args": {"dataset": DATASET_A, "items": [0, 1, 2]},
             },
             _solve("b2", DATASET_B, k=2),
+            # v1 members cross the shard pipe as their typed lift.
+            {"op": "solve", "id": "v1", "dataset": DATASET_B, "k": 4},
+            {"op": "solve", "id": "v1-empty"},
         ]
 
         async def scenario(shards):
@@ -152,7 +155,10 @@ class TestShardedServer:
 
         single = [normalized(r) for r in run_async(scenario(1))]
         sharded = [normalized(r) for r in run_async(scenario(2))]
-        assert all(r["ok"] for r in single)
+        # A v1 solve with no dataset is answered by the engine's lookup
+        # error (v2 would reject it at decode time), on either tier.
+        assert [r["id"] for r in single if not r["ok"]] == ["v1-empty"]
+        assert single[-1]["error"].startswith("KeyError: \"unknown dataset ''")
         assert single == sharded
 
     def test_dataset_affinity_observed_in_telemetry(self):
