@@ -20,7 +20,8 @@ bitwise identity to the flat path is pinned by ``tests/test_oocore.py``
 on the CLI datasets); the bench checks scale claims instead —
 node/sample floors, the budget-vs-flat-footprint ratio, the RSS
 ceiling — and gates ``oocore.footprint_speedup`` (flat bytes over
-measured peak RSS) against the committed baseline.
+measured peak RSS) against the committed baseline and
+``oocore.solve_wall_time_s`` against :data:`SOLVE_WALL_TIME_BOUND_S`.
 
 Emits ``benchmarks/results/BENCH_oocore.json``. Run standalone
 (``PYTHONPATH=src python benchmarks/bench_oocore.py``) or through
@@ -65,7 +66,13 @@ MIN_RR_SAMPLES = 200_000
 #: flat footprint / budget must be at least this.
 MIN_FOOTPRINT_RATIO = 2.0
 
-GATED_METRICS = ("oocore.footprint_speedup",)
+#: Ceiling on the k = 50 greedy solve over the segmented RR store.
+#: It took 2.7 s on a 2-vCPU box (93.6 s before the block-lazy greedy
+#: loop); the bound leaves room for slower machines and still fails a
+#: return to per-item scoring.
+SOLVE_WALL_TIME_BOUND_S = 10.0
+
+GATED_METRICS = ("oocore.footprint_speedup", "oocore.solve_wall_time_s")
 
 
 def _generate_rcsr(path: Path) -> dict:
@@ -186,6 +193,9 @@ def _measure() -> dict:
         "seed": SEED,
         "speedup_gate": True,
         "gated_metrics": list(GATED_METRICS),
+        "wall_time_bounds": {
+            "oocore.solve_wall_time_s": SOLVE_WALL_TIME_BOUND_S,
+        },
         "instance": {
             **instance,
             "num_rr_samples": NUM_RR_SAMPLES,

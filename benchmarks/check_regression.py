@@ -27,6 +27,14 @@ hold on any machine, so they are compared — against the baseline where
 available, and never below the payload's ``"always_gated_floor"`` —
 even when the multicore gate is off.
 
+Wall times get an absolute ceiling instead of a relative comparison. A
+payload's ``"wall_time_bounds"`` maps a dotted metric path to the most
+seconds it may take (the out-of-core bench bounds
+``oocore.solve_wall_time_s``). Where the baseline carries a bound for
+the same path, the smaller of the two applies, so raising the constant
+in a bench does not loosen the gate until the baseline is regenerated.
+These bounds hold whatever the ``speedup_gate`` says.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/check_regression.py
@@ -65,19 +73,51 @@ def iter_speedups(payload: object, prefix: str = "") -> Iterator[tuple[str, floa
             yield from iter_speedups(value, f"{prefix}[{index}]")
 
 
+def lookup(payload: object, path: str) -> object:
+    """Value at a dotted ``path`` of nested dicts, or None if absent."""
+    for key in path.split("."):
+        if not isinstance(payload, dict):
+            return None
+        payload = payload.get(key)
+    return payload
+
+
+def check_wall_time_bounds(
+    name: str, baseline: dict, fresh: dict
+) -> tuple[list[str], list[str]]:
+    """Hold every bounded wall time of ``fresh`` under its ceiling."""
+    lines: list[str] = []
+    failures: list[str] = []
+    bounds = dict(fresh.get("wall_time_bounds") or {})
+    for path, bound in (baseline.get("wall_time_bounds") or {}).items():
+        bounds[path] = min(float(bound), float(bounds.get(path, bound)))
+    for path, bound in sorted(bounds.items()):
+        value = lookup(fresh, path)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            failures.append(f"{name}: bounded metric {path} missing from fresh run")
+            continue
+        status = "ok" if value <= bound else "REGRESSION"
+        lines.append(
+            f"  {name}: {path} = {value:.2f}s (bound {bound:.2f}s) {status}"
+        )
+        if value > bound:
+            failures.append(
+                f"{name}: {path} took {value:.2f}s, over its {bound:.2f}s bound"
+            )
+    return lines, failures
+
+
 def compare_file(
     baseline_path: Path, results_dir: Path, tolerance: float
 ) -> tuple[list[str], list[str]]:
     """Compare one baseline file; returns (report lines, failures)."""
-    lines: list[str] = []
-    failures: list[str] = []
     name = baseline_path.name
     fresh_path = results_dir / name
     if not fresh_path.exists():
-        failures.append(f"{name}: no fresh result at {fresh_path}")
-        return lines, failures
+        return [], [f"{name}: no fresh result at {fresh_path}"]
     baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
     fresh = json.loads(fresh_path.read_text(encoding="utf-8"))
+    lines, failures = check_wall_time_bounds(name, baseline, fresh)
     always = list(fresh.get("always_gated_metrics") or [])
     always_floor = float(fresh.get("always_gated_floor", 1.0))
     if fresh.get("speedup_gate") is False:

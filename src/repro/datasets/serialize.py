@@ -55,10 +55,9 @@ def _graph_from_arrays(
     graph = Graph(
         num_nodes, directed=directed, groups=arrays["groups"].tolist()
     )
-    for u, v, p in zip(
+    graph.add_edges(
         arrays["edge_sources"], arrays["edge_targets"], arrays["edge_probs"]
-    ):
-        graph.add_edge(int(u), int(v), probability=float(p))
+    )
     return graph
 
 

@@ -15,6 +15,8 @@ experiments depend on (DESIGN.md §6):
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.graphs.generators import preferential_attachment, random_groups_graph
 from repro.graphs.graph import Graph
 from repro.utils.rng import SeedLike, as_generator, deterministic_partition
@@ -104,9 +106,12 @@ def pokec_like(
     base = preferential_attachment(
         num_nodes, arcs_per_node, seed=rng, directed=False
     )
+    # Both arcs of every undirected edge, follower-style.
+    indptr, indices, probs = base.out_adjacency()
     graph = Graph(num_nodes, directed=True)
-    for u, v, p in base.edges():
-        graph.add_edge(u, v, probability=p)  # both arcs, follower-style
+    graph.add_edges(
+        np.repeat(np.arange(num_nodes), np.diff(indptr)), indices, probs
+    )
     labels = deterministic_partition(num_nodes, list(percents))
     rng.shuffle(labels)
     graph.set_groups(labels)

@@ -3,9 +3,13 @@
 The paper's synthetic RAND graphs are stochastic block models (SBM) with
 intra-/inter-group probabilities 0.1 / 0.02 (Section 5.1). The real social
 graphs (Facebook, DBLP, Pokec) are unavailable offline, so the dataset
-layer composes these generators into *-like* graphs that match the papers'
-published node counts, edge densities and group mixes — see
-``repro/datasets/social.py`` and DESIGN.md §6.
+layer composes these generators into *-like* graphs that match the
+paper's published node counts, edge densities and group mixes (Table 1)
+— see ``repro/datasets/social.py``.
+
+Each generator collects its edges first and builds its :class:`Graph`
+with one :meth:`Graph.add_edges` call. The RNG draws and the resulting
+adjacency are those of adding the same edges one by one.
 """
 
 from __future__ import annotations
@@ -19,6 +23,44 @@ from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive_int, check_probability
 
 
+def _sbm_edges(
+    sizes: Sequence[int],
+    p_intra: float,
+    p_inter: float,
+    rng: np.random.Generator,
+    directed: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample SBM edges over contiguous blocks of ``sizes`` nodes.
+
+    Returns ``(sources, targets)`` in sampling order: block pair by block
+    pair, row-major within a pair. Undirected edges come out with
+    ``u < v``. Edge sampling is vectorised per block pair (geometric
+    skipping would be faster for very sparse blocks but the paper's SBMs
+    are dense enough that a Bernoulli matrix per block pair is simpler
+    and fast).
+    """
+    offsets = np.cumsum([0] + list(sizes))
+    sources: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    targets: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    for gi in range(len(sizes)):
+        for gj in range(len(sizes)):
+            if not directed and gj < gi:
+                continue
+            p = p_intra if gi == gj else p_inter
+            if p == 0.0:
+                continue
+            mask = rng.random((sizes[gi], sizes[gj])) < p
+            if gi == gj:
+                if directed:
+                    np.fill_diagonal(mask, False)
+                else:
+                    mask = np.triu(mask, k=1)
+            ii, jj = np.nonzero(mask)
+            sources.append(ii + offsets[gi])
+            targets.append(jj + offsets[gj])
+    return np.concatenate(sources), np.concatenate(targets)
+
+
 def stochastic_block_model(
     group_sizes: Sequence[int],
     p_intra: float,
@@ -30,36 +72,14 @@ def stochastic_block_model(
     """Sample an SBM graph; node groups are attached to the result.
 
     Nodes are laid out block-by-block: group 0 first, then group 1, etc.
-    Edge sampling is vectorised per block pair (geometric skipping would be
-    faster for very sparse blocks but the paper's SBMs are dense enough that
-    a Bernoulli matrix per block pair is simpler and fast).
     """
     sizes = [check_positive_int(s, "group size") for s in group_sizes]
     check_probability(p_intra, "p_intra")
     check_probability(p_inter, "p_inter")
     rng = as_generator(seed)
-    n = sum(sizes)
-    offsets = np.cumsum([0] + sizes)
     groups = np.repeat(np.arange(len(sizes)), sizes)
-    graph = Graph(n, directed=directed, groups=groups)
-    for gi in range(len(sizes)):
-        for gj in range(len(sizes)):
-            if not directed and gj < gi:
-                continue
-            p = p_intra if gi == gj else p_inter
-            if p == 0.0:
-                continue
-            rows = np.arange(offsets[gi], offsets[gi + 1])
-            cols = np.arange(offsets[gj], offsets[gj + 1])
-            mask = rng.random((rows.size, cols.size)) < p
-            if gi == gj:
-                if directed:
-                    np.fill_diagonal(mask, False)
-                else:
-                    mask = np.triu(mask, k=1)
-            ii, jj = np.nonzero(mask)
-            for u, v in zip(rows[ii], cols[jj]):
-                graph.add_edge(int(u), int(v))
+    graph = Graph(sum(sizes), directed=directed, groups=groups)
+    graph.add_edges(*_sbm_edges(sizes, p_intra, p_inter, rng, directed))
     return graph
 
 
@@ -70,20 +90,12 @@ def erdos_renyi(
     seed: SeedLike = None,
     directed: bool = False,
 ) -> Graph:
-    """G(n, p) random graph (no groups attached)."""
+    """G(n, p) random graph (no groups attached): a one-block SBM."""
     n = check_positive_int(num_nodes, "num_nodes")
     check_probability(p, "p")
     rng = as_generator(seed)
     graph = Graph(n, directed=directed)
-    if p == 0.0:
-        return graph
-    mask = rng.random((n, n)) < p
-    if directed:
-        np.fill_diagonal(mask, False)
-    else:
-        mask = np.triu(mask, k=1)
-    for u, v in zip(*np.nonzero(mask)):
-        graph.add_edge(int(u), int(v))
+    graph.add_edges(*_sbm_edges([n], p, 0.0, rng, directed))
     return graph
 
 
@@ -106,12 +118,10 @@ def preferential_attachment(
     if m >= n:
         raise ValueError(f"edges_per_node ({m}) must be < num_nodes ({n})")
     rng = as_generator(seed)
-    graph = Graph(n, directed=directed)
     # Urn of edge endpoints; each entry is one "degree unit".
     urn: list[int] = list(range(m))  # seed clique endpoints
     for u in range(m):
         for v in range(u + 1, m):
-            graph.add_edge(u, v)
             urn.extend((u, v))
     for u in range(m, n):
         targets: set[int] = set()
@@ -122,8 +132,10 @@ def preferential_attachment(
             if pick != u:
                 targets.add(pick)
         for v in targets:
-            graph.add_edge(u, v)
             urn.extend((u, v))
+    # Past the m seed entries, the urn lists every edge's (u, v) in order.
+    graph = Graph(n, directed=directed)
+    graph.add_edges(urn[m::2], urn[m + 1::2])
     return graph
 
 
@@ -191,18 +203,15 @@ def random_groups_graph(
     denom = h * intra_pairs + inter_pairs
     p_inter = min(1.0, avg_degree * n / denom) if denom > 0 else 0.0
     p_intra = min(1.0, h * p_inter)
-    # Build an SBM over the shuffled labels. stochastic_block_model expects
-    # contiguous blocks, so we sample in block layout then permute.
+    # Sample the SBM in block layout (contiguous blocks in label order),
+    # then relabel block node order[i] as node i. Sampling order already
+    # lists every node's edges in the order a block Graph stores them.
     order = np.argsort(labels, kind="stable")
-    block = stochastic_block_model(
-        [int(s) for s in sizes if s > 0], p_intra, p_inter,
-        seed=rng, directed=directed,
+    sources, targets = _sbm_edges(
+        [int(s) for s in sizes if s > 0], p_intra, p_inter, rng, directed
     )
     inverse = np.empty(n, dtype=np.int64)
     inverse[order] = np.arange(n)
     graph = Graph(n, directed=directed, groups=labels)
-    for u, v, p in block.edges():
-        if not directed and u > v:
-            continue
-        graph.add_edge(int(inverse[u]), int(inverse[v]), probability=p)
+    graph.add_edges(inverse[sources], inverse[targets])
     return graph

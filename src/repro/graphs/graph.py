@@ -22,8 +22,9 @@ WeightedEdgeLike = Tuple[int, int, float]
 
 #: Arc records the mutation log keeps before it gives up. Dynamic
 #: workloads mutate a handful of arcs per event, so the log stays tiny;
-#: a whole-graph rewrite (``set_edge_probabilities``) would blow through
-#: any cap and is floored instead (see :meth:`Graph.mutations_since`).
+#: a whole-graph rewrite (``set_edge_probabilities``) or a bulk build
+#: (``add_edges``) would blow through any cap and is floored instead
+#: (see :meth:`Graph.mutations_since`).
 MUTATION_LOG_LIMIT = 65_536
 
 
@@ -124,6 +125,75 @@ class Graph:
         if not self.directed and u != v:
             self._record_mutation(v, u, 0.0, probability)
 
+    def add_edges(
+        self,
+        sources: Sequence[int] | np.ndarray,
+        targets: Sequence[int] | np.ndarray,
+        probabilities: float | Sequence[float] | np.ndarray | None = None,
+    ) -> None:
+        """Add edges ``sources[i] -> targets[i]`` in bulk.
+
+        Leaves the same adjacency, ``version`` and ``num_edges`` as one
+        :meth:`add_edge` call per entry, in order. ``probabilities`` is a
+        scalar or one value per edge (default 1.0). Every node and
+        probability is checked before anything changes. The arcs are not
+        logged one by one: like :meth:`set_edge_probabilities`, the call
+        floors the mutation log at the new version.
+        """
+        u = np.asarray(sources, dtype=np.int64)
+        v = np.asarray(targets, dtype=np.int64)
+        p = np.asarray(1.0 if probabilities is None else probabilities,
+                       dtype=np.float64)
+        if p.ndim == 0:
+            p = np.full(u.shape, float(p))
+        if u.ndim != 1 or u.shape != v.shape or u.shape != p.shape:
+            raise ValueError(
+                "sources, targets and probabilities must be 1-D with equal "
+                f"lengths, got shapes {u.shape}, {v.shape}, {p.shape}"
+            )
+        n = self.num_nodes
+        bad = np.flatnonzero(
+            (u < 0) | (u >= n) | (v < 0) | (v >= n) | ~((p >= 0.0) & (p <= 1.0))
+        )
+        if bad.size:
+            # Raise what add_edge would have raised on the first bad edge.
+            i = int(bad[0])
+            self._check_node(int(u[i]))
+            self._check_node(int(v[i]))
+            raise ValueError(
+                f"edge probability must be in [0, 1], got {float(p[i])}"
+            )
+        if not u.size:
+            return
+        if self.directed:
+            src, dst, prob = u, v, p
+        else:
+            # Interleave each edge's arcs (u -> v, then v -> u; a self-loop
+            # once) so that a stable sort by source replays add_edge's
+            # per-node append order.
+            keep = np.ones(2 * u.size, dtype=bool)
+            keep[1::2] = u != v
+            src = np.column_stack((u, v)).ravel()[keep]
+            dst = np.column_stack((v, u)).ravel()[keep]
+            prob = np.repeat(p, 2)[keep]
+        order = np.argsort(src, kind="stable")
+        dst_list = dst[order].tolist()
+        prob_list = prob[order].tolist()
+        counts = np.bincount(src, minlength=n)
+        ends = np.cumsum(counts)
+        nodes = np.flatnonzero(counts)
+        for w, lo, hi in zip(
+            nodes.tolist(), (ends - counts)[nodes].tolist(), ends[nodes].tolist()
+        ):
+            self._succ[w].extend(dst_list[lo:hi])
+            self._succ_p[w].extend(prob_list[lo:hi])
+        self._num_input_edges += int(u.size)
+        self._csr_cache = None
+        self._transpose_cache = None
+        self._version += int(u.size)
+        self._mutation_log.clear()
+        self._log_floor = self._version
+
     def set_groups(self, groups: Sequence[int]) -> None:
         """Attach group labels; labels must be ``0..c-1`` with no empty group."""
         arr = np.asarray(groups, dtype=np.int64)
@@ -204,7 +274,8 @@ class Graph:
 
         Returns ``None`` when the log cannot replay from ``version`` —
         either the graph was rewritten wholesale
-        (:meth:`set_edge_probabilities`), the log overflowed
+        (:meth:`set_edge_probabilities`) or built in bulk
+        (:meth:`add_edges`) after it, the log overflowed
         ``MUTATION_LOG_LIMIT``, or ``version`` predates this object —
         in which case the caller must rebuild from scratch. Successive
         mutations of the same arc are collapsed to one record carrying
@@ -354,8 +425,9 @@ class Graph:
         fresh object is still returned so that mutation stays local.
         """
         g = Graph(self.num_nodes, directed=True)
-        for u, v, p in self.edges():
-            g.add_edge(v, u, probability=p)
+        indptr, indices, probs = self.out_adjacency()
+        sources = np.repeat(np.arange(self.num_nodes), np.diff(indptr))
+        g.add_edges(indices, sources, probs)
         if self._groups is not None:
             g.set_groups(self._groups)
         return g
@@ -443,6 +515,9 @@ class CSRGraph(Graph):
         )
 
     def add_edge(self, u: int, v: int, *, probability: float = 1.0) -> None:
+        raise self._immutable()
+
+    def add_edges(self, sources, targets, probabilities=None) -> None:
         raise self._immutable()
 
     def set_edge_probabilities(self, probability: float) -> None:

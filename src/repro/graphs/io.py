@@ -81,6 +81,9 @@ def read_edge_list(path: PathLike) -> Graph:
     path = Path(path)
     graph: Graph | None = None
     groups: list[int] | None = None
+    sources: list[int] = []
+    targets: list[int] = []
+    probabilities: list[float] = []
     with path.open("r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -101,18 +104,16 @@ def read_edge_list(path: PathLike) -> Graph:
             elif tag == "e":
                 if graph is None:
                     raise ValueError(f"{path}:{lineno}: edge before header")
-                if len(parts) == 3:
-                    graph.add_edge(int(parts[1]), int(parts[2]))
-                elif len(parts) == 4:
-                    graph.add_edge(
-                        int(parts[1]), int(parts[2]), probability=float(parts[3])
-                    )
-                else:
+                if len(parts) not in (3, 4):
                     raise ValueError(f"{path}:{lineno}: malformed edge {line!r}")
+                sources.append(int(parts[1]))
+                targets.append(int(parts[2]))
+                probabilities.append(float(parts[3]) if len(parts) == 4 else 1.0)
             else:
                 raise ValueError(f"{path}:{lineno}: unknown record tag {tag!r}")
     if graph is None:
         raise ValueError(f"{path}: missing header line")
+    graph.add_edges(sources, targets, probabilities)
     if groups is not None:
         graph.set_groups(groups)
     return graph

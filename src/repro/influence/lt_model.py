@@ -53,7 +53,7 @@ class LTModel:
         self.weighting = weighting
         # In-adjacency with trigger probabilities: CSR over the transpose,
         # so row v lists (u, b_uv).
-        indptr, indices, probs = graph.transpose().out_adjacency()
+        indptr, indices, probs = graph.transpose_adjacency()
         weights = probs.astype(float).copy()
         for v in range(graph.num_nodes):
             lo, hi = indptr[v], indptr[v + 1]

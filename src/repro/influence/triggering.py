@@ -130,7 +130,7 @@ class TriggeringModel:
     ) -> None:
         self.graph = graph
         self.sampler = sampler or ic_trigger_sampler()
-        indptr, indices, probs = graph.transpose().out_adjacency()
+        indptr, indices, probs = graph.transpose_adjacency()
         self._in_indptr = indptr
         self._in_indices = indices
         self._in_probs = probs

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import GroupPartitionError
+from repro.errors import GroupPartitionError, StorageError
 from repro.graphs import graph as graph_module
-from repro.graphs.graph import Graph, GraphDelta
+from repro.graphs.graph import CSRGraph, Graph, GraphDelta
 
 
 class TestConstruction:
@@ -300,3 +300,110 @@ class TestMutationLog:
         assert delta.sources.dtype == np.int64
         assert delta.old_probabilities.dtype == np.float64
         assert delta.num_arcs == 0
+
+
+class TestAddEdges:
+    """``add_edges`` leaves what the same ``add_edge`` loop leaves."""
+
+    EDGE_SETS = {
+        "plain": [(0, 1), (2, 3), (1, 2), (0, 4)],
+        "self-loops": [(1, 1), (0, 2), (2, 2), (2, 0)],
+        "parallel": [(0, 1), (1, 0), (0, 1), (3, 4), (0, 1)],
+        "empty": [],
+    }
+    BASE = [(4, 0, 0.5), (1, 3, 0.25)]
+
+    @staticmethod
+    def _pair(directed, base):
+        return (Graph(5, base, directed=directed),
+                Graph(5, base, directed=directed))
+
+    @staticmethod
+    def _assert_same(a, b):
+        assert list(a.edges()) == list(b.edges())
+        for x, y in zip(a.out_adjacency(), b.out_adjacency()):
+            np.testing.assert_array_equal(x, y)
+        assert a.version == b.version
+        assert a.num_edges == b.num_edges
+
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("edge_set", sorted(EDGE_SETS))
+    @pytest.mark.parametrize("probs", ["default", "scalar", "per-edge"])
+    @pytest.mark.parametrize("on_existing", [False, True])
+    def test_matches_add_edge_loop(self, directed, edge_set, probs, on_existing):
+        edges = self.EDGE_SETS[edge_set]
+        looped, bulk = self._pair(directed, self.BASE if on_existing else ())
+        if probs == "default":
+            per_edge, arg = [1.0] * len(edges), None
+        elif probs == "scalar":
+            per_edge, arg = [0.3] * len(edges), 0.3
+        else:
+            per_edge = [0.1 * (i + 1) for i in range(len(edges))]
+            arg = np.asarray(per_edge)
+        for (u, v), p in zip(edges, per_edge):
+            looped.add_edge(u, v, probability=p)
+        bulk.add_edges([u for u, _ in edges], [v for _, v in edges], arg)
+        self._assert_same(looped, bulk)
+        if not looped.num_edges:
+            return
+        # A later single-arc update replays the same delta on both.
+        u, v, _ = next(looped.edges())
+        v0 = looped.version
+        looped.set_arc_probability(u, v, 0.9)
+        bulk.set_arc_probability(u, v, 0.9)
+        self._assert_same(looped, bulk)
+        d_loop, d_bulk = looped.mutations_since(v0), bulk.mutations_since(v0)
+        for field in ("sources", "targets", "old_probabilities",
+                      "new_probabilities"):
+            np.testing.assert_array_equal(
+                getattr(d_loop, field), getattr(d_bulk, field)
+            )
+
+    def test_bulk_build_floors_the_log(self):
+        g = Graph(3, [(0, 1)], directed=True)
+        v0 = g.version
+        g.add_edges([1, 2], [2, 0], 0.5)
+        assert g.version == v0 + 2
+        assert g.mutations_since(v0) is None
+        assert g.mutations_since(g.version).num_arcs == 0
+
+    def test_empty_call_changes_nothing(self):
+        g = Graph(3, [(0, 1)], directed=True)
+        v0 = g.version
+        g.add_edges([], [])
+        assert g.version == v0
+        assert g.mutations_since(0).num_arcs == 1
+
+    @pytest.mark.parametrize(
+        "sources,targets,probs,error",
+        [
+            ([0, -1], [1, 2], None, IndexError),
+            ([0, 1], [1, 5], None, IndexError),
+            ([0, 1], [1, 2], [0.5, 1.5], ValueError),
+            ([0, 1], [1, 2], -0.1, ValueError),
+            ([0, 1], [1, 2], [0.5, float("nan")], ValueError),
+            ([0, 1], [1, 2, 3], None, ValueError),
+            ([0, 1], [1, 2], [0.5], ValueError),
+        ],
+    )
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_rejected_input_leaves_graph_unchanged(
+        self, sources, targets, probs, error, directed
+    ):
+        g = Graph(5, self.BASE, directed=directed)
+        before = list(g.edges()), g.version, g.num_edges
+        with pytest.raises(error):
+            g.add_edges(sources, targets, probs)
+        assert (list(g.edges()), g.version, g.num_edges) == before
+        assert g.mutations_since(0).num_arcs == g.num_arcs
+
+    def test_bad_node_error_names_the_node(self):
+        g = Graph(3, directed=True)
+        with pytest.raises(IndexError, match=r"node 7 out of range \[0, 3\)"):
+            g.add_edges([0, 7], [1, 1])
+
+    def test_csr_graph_rejects_bulk_edges(self):
+        g = Graph(3, [(0, 1)], directed=True)
+        csr = CSRGraph(3, g.out_adjacency(), g.transpose_adjacency())
+        with pytest.raises(StorageError):
+            csr.add_edges([1], [2])
