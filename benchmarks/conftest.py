@@ -1,8 +1,14 @@
 """Benchmark-suite configuration.
 
-Ensures stdout from the benches (the rendered paper-style tables) is
-visible: run with ``pytest benchmarks/ --benchmark-only -s`` to stream, or
-read the persisted artifacts under ``benchmarks/results/``.
+Plain pytest does not collect the ``bench_*`` files. Run them with
+the collection patterns overridden, for example::
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_ablation_lazy.py \
+        -o 'python_files=bench_*.py' -o 'python_functions=bench_*' \
+        --benchmark-disable -s
+
+``-s`` streams the rendered paper-style tables; the persisted artifacts
+are under ``benchmarks/results/``.
 """
 
 from __future__ import annotations

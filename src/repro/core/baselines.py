@@ -23,16 +23,13 @@ def greedy_utility(
     k: int,
     *,
     candidates: Optional[Iterable[int]] = None,
-    lazy: bool = True,
 ) -> SolverResult:
     """Classic greedy for ``max_{|S|=k} f(S)`` (the paper's "Greedy")."""
     check_positive_int(k, "k")
     timer = Timer()
     start_calls = objective.oracle_calls
     with timer:
-        state, steps = greedy_max(
-            objective, AverageUtility(), k, candidates=candidates, lazy=lazy
-        )
+        state, steps = greedy_max(objective, AverageUtility(), k, candidates=candidates)
     return make_result(
         "Greedy",
         objective,

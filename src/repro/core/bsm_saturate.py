@@ -51,7 +51,6 @@ def bsm_saturate(
     epsilon: float = DEFAULT_EPSILON,
     enforce_size_k: bool = True,
     candidates: Optional[Iterable[int]] = None,
-    lazy: bool = True,
     greedy_result: Optional[SolverResult] = None,
     saturate_result: Optional[SolverResult] = None,
 ) -> SolverResult:
@@ -83,11 +82,9 @@ def bsm_saturate(
     start_calls = objective.oracle_calls
     with timer:
         if greedy_result is None:
-            greedy_result = greedy_utility(
-                objective, k, candidates=candidates, lazy=lazy
-            )
+            greedy_result = greedy_utility(objective, k, candidates=candidates)
         if saturate_result is None:
-            saturate_result = saturate(objective, k, candidates=candidates, lazy=lazy)
+            saturate_result = saturate(objective, k, candidates=candidates)
         opt_f_approx = greedy_result.utility
         opt_g_approx = saturate_result.fairness
         c = objective.num_groups
@@ -96,86 +93,65 @@ def bsm_saturate(
         else:
             budget = max(k, int(math.ceil(k * math.log(c / epsilon))))
         fairness_threshold = tau * opt_g_approx
-        if tau == 0.0 or fairness_threshold <= 0.0 or opt_f_approx <= 0.0:
+        alpha_min, alpha_max = 0.0, 1.0
+        iters = 0
+        degenerate = bool(
+            tau == 0.0 or fairness_threshold <= 0.0 or opt_f_approx <= 0.0
+        )
+        if degenerate:
             # Degenerate instances: no binding fairness constraint (or a
             # zero-utility instance) — return the greedy utility solution.
-            state = objective.new_state()
-            for item in greedy_result.solution:
-                objective.add(state, item)
-            degenerate = make_result(
-                "BSM-Saturate",
-                objective,
-                state,
-                oracle_calls=objective.oracle_calls - start_calls,
-                extra={
-                    "alpha_min": 1.0,
-                    "alpha_max": 1.0,
-                    "bisection_iters": 0,
-                    "budget": budget,
-                    "opt_f_approx": opt_f_approx,
-                    "opt_g_approx": opt_g_approx,
-                    "degenerate": True,
-                },
-            )
+            best_state = objective.state_of(greedy_result.solution)
+            alpha_min = 1.0
         else:
-            degenerate = None
-    if degenerate is not None:
-        # Timer.elapsed is only final outside the `with` block.
-        degenerate.runtime = timer.elapsed
-        return degenerate
-    with timer:
-        target = 2.0 * (1.0 - epsilon / c)
-        alpha_min, alpha_max = 0.0, 1.0
-        best_state = None
-        iters = 0
-        while (
-            (1.0 - epsilon) * alpha_max > alpha_min and alpha_max > ALPHA_FLOOR
-        ):
-            iters += 1
-            alpha = (alpha_max + alpha_min) / 2.0
-            surrogate = BSMCombined(
-                utility_threshold=alpha * opt_f_approx,
-                fairness_threshold=fairness_threshold,
-            )
-            state, _, covered = greedy_cover(
-                objective,
-                surrogate,
-                target=target,
-                budget=budget,
-                candidates=candidates,
-                lazy=lazy,
-            )
-            if covered:
-                alpha_min = alpha
-                best_state = state
-            else:
-                alpha_max = alpha
-        if best_state is None:
-            # Not even alpha = ALPHA_FLOOR was coverable within budget: the
-            # fairness part alone cannot saturate with <= budget items. Fall
-            # back to the Saturate solution S_g (the fairest size-k set we
-            # know).
-            best_state = objective.new_state()
-            for item in saturate_result.solution[:budget]:
-                objective.add(best_state, item)
-        # The bisection's last accepted state may have fewer than k items
-        # (cover can saturate early); spend any remaining slots on utility.
-        if best_state.size < k:
-            greedy_max(
-                objective,
-                AverageUtility(),
-                k - best_state.size,
-                state=best_state,
-                candidates=candidates,
-                lazy=lazy,
-            )
+            target = 2.0 * (1.0 - epsilon / c)
+            best_state = None
+            while (
+                (1.0 - epsilon) * alpha_max > alpha_min and alpha_max > ALPHA_FLOOR
+            ):
+                iters += 1
+                alpha = (alpha_max + alpha_min) / 2.0
+                surrogate = BSMCombined(
+                    utility_threshold=alpha * opt_f_approx,
+                    fairness_threshold=fairness_threshold,
+                )
+                state, _, covered = greedy_cover(
+                    objective,
+                    surrogate,
+                    target=target,
+                    budget=budget,
+                    candidates=candidates,
+                )
+                if covered:
+                    alpha_min = alpha
+                    best_state = state
+                else:
+                    alpha_max = alpha
+            if best_state is None:
+                # Not even alpha = ALPHA_FLOOR was coverable within budget:
+                # the fairness part alone cannot saturate with <= budget
+                # items. Fall back to the Saturate solution S_g (the
+                # fairest size-k set we know).
+                best_state = objective.state_of(saturate_result.solution[:budget])
+            # The bisection's last accepted state may have fewer than k
+            # items (cover can saturate early); spend any remaining slots
+            # on utility.
+            if best_state.size < k:
+                greedy_max(
+                    objective,
+                    AverageUtility(),
+                    k - best_state.size,
+                    state=best_state,
+                    candidates=candidates,
+                )
     return make_result(
         "BSM-Saturate",
         objective,
         best_state,
         runtime=timer.elapsed,
         oracle_calls=objective.oracle_calls - start_calls,
-        feasible=objective.fairness(best_state) >= fairness_threshold - 1e-9,
+        feasible=degenerate
+        or objective.fairness(best_state) >= fairness_threshold - 1e-9,
         extra={
             "alpha_min": alpha_min,
             "alpha_max": alpha_max,
@@ -183,6 +159,6 @@ def bsm_saturate(
             "budget": budget,
             "opt_f_approx": opt_f_approx,
             "opt_g_approx": opt_g_approx,
-            "degenerate": False,
+            "degenerate": degenerate,
         },
     )

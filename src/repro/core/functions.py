@@ -239,12 +239,16 @@ class GroupedObjective(abc.ABC):
         state.group_values = state.group_values + gains
         return gains
 
-    def evaluate(self, items: Iterable[int]) -> np.ndarray:
-        """Group values of an arbitrary solution built from scratch."""
+    def state_of(self, items: Iterable[int]) -> ObjectiveState:
+        """A fresh state with ``items`` added in the given order."""
         state = self.new_state()
         for item in items:
             self.add(state, item)
-        return state.group_values
+        return state
+
+    def evaluate(self, items: Iterable[int]) -> np.ndarray:
+        """Group values of an arbitrary solution built from scratch."""
+        return self.state_of(items).group_values
 
     def max_group_values(self) -> np.ndarray:
         """``(f_1(V), ..., f_c(V))`` — utilities of the full ground set.

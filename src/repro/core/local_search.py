@@ -36,15 +36,6 @@ from repro.utils.validation import check_non_negative, check_positive_int
 IMPROVEMENT_RTOL = 1e-9
 
 
-def _rebuild(
-    objective: GroupedObjective, items: Iterable[int]
-) -> ObjectiveState:
-    state = objective.new_state()
-    for item in items:
-        objective.add(state, item)
-    return state
-
-
 def swap_local_search(
     objective: GroupedObjective,
     solution: Iterable[int],
@@ -82,7 +73,7 @@ def swap_local_search(
         set(range(objective.num_items) if candidates is None else candidates)
     )
     current = sorted(set(solution))
-    state = _rebuild(objective, current)
+    state = objective.state_of(current)
     weights = objective.group_weights
     swaps = 0
     for _ in range(max_sweeps):
@@ -97,7 +88,7 @@ def swap_local_search(
                 if in_item in current:
                     continue
                 trial_items = kept + [in_item]
-                trial = _rebuild(objective, trial_items)
+                trial = objective.state_of(trial_items)
                 trial_utility = float(weights @ trial.group_values)
                 trial_fairness = float(trial.group_values.min())
                 if feasible:

@@ -36,7 +36,7 @@ from repro.core.functions import (
 from repro.core.greedy import greedy_max
 from repro.core.result import SolverResult, make_result
 from repro.utils.timing import Timer
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_fraction, check_positive_int
 
 #: Relative width of the bisection interval at which the search stops.
 DEFAULT_BISECTION_TOL = 1e-3
@@ -53,7 +53,6 @@ def saturate(
     candidates: Optional[Iterable[int]] = None,
     bisection_tol: float = DEFAULT_BISECTION_TOL,
     grid: int = 8,
-    lazy: bool = True,
 ) -> SolverResult:
     """Run Saturate for ``max_{|S| <= k} min_i f_i(S)``.
 
@@ -66,7 +65,8 @@ def saturate(
         items. 1.0 reproduces the paper's "solutions of size at most k"
         adaptation; the theoretical guarantee needs ``1 + ln(c/theta)``.
     bisection_tol:
-        Stop when ``(t_max - t_min) <= bisection_tol * t_max``.
+        Stop when ``(t_max - t_min) <= bisection_tol * t_max``. Must lie
+        in ``(0, 1)``, which guarantees at least one bisection probe.
     grid:
         Number of evenly-spaced levels probed before the bisection. GPC is
         greedy, so feasibility is *not* monotone in the level: a probe at a
@@ -81,6 +81,9 @@ def saturate(
         level ``t_min``; ``extra['bisection_iters']`` counts probes.
     """
     check_positive_int(k, "k")
+    check_fraction(
+        bisection_tol, "bisection_tol", inclusive_low=False, inclusive_high=False
+    )
     if size_multiplier < 1.0:
         raise ValueError(f"size_multiplier must be >= 1, got {size_multiplier}")
     budget = int(np.ceil(size_multiplier * k))
@@ -89,17 +92,34 @@ def saturate(
     ]
     timer = Timer()
     start_calls = objective.oracle_calls
+    best_state: Optional[ObjectiveState] = None
+    best_g = -1.0
+    iters = 0
+
+    def probe(t: float) -> bool:
+        """Run GPC at level ``t``; keep its state if it has the best g."""
+        nonlocal best_state, best_g, iters
+        iters += 1
+        state, _, covered = greedy_cover(
+            objective,
+            TruncatedFairness(t),
+            target=1.0,
+            budget=budget,
+            candidates=cand,
+        )
+        actual_g = objective.fairness(state)
+        if actual_g > best_g:
+            best_g = actual_g
+            best_state = state
+        return covered
+
     with timer:
         upper = float(objective.max_group_values().min())
-        best_state: Optional[ObjectiveState] = None
-        iters = 0
         if upper <= 0.0:
             # Some group derives zero utility from the entire ground set;
             # the RSM optimum is 0 and any set works. Return greedy-on-f
             # of size k so the result is still a sensible solution.
-            best_state, _ = greedy_max(
-                objective, AverageUtility(), k, candidates=cand, lazy=lazy
-            )
+            best_state, _ = greedy_max(objective, AverageUtility(), k, candidates=cand)
             t_min = 0.0
         else:
             # Bisection on the level t. Every probe's GPC state is a valid
@@ -111,61 +131,23 @@ def saturate(
             # Example-3.1 outcome (S_g = {v1, v4}, OPT'_g = 5/9) despite
             # GPC's greedy failing at the boundary level.
             t_min, t_max = 0.0, upper
-            best_g = -1.0
             for i in range(1, max(grid, 0) + 1):
-                iters += 1
                 t = upper * i / (grid + 1)
-                state, _, covered = greedy_cover(
-                    objective,
-                    TruncatedFairness(t),
-                    target=1.0,
-                    budget=budget,
-                    candidates=cand,
-                    lazy=lazy,
-                )
-                actual_g = objective.fairness(state)
-                if actual_g > best_g:
-                    best_g = actual_g
-                    best_state = state
-                if covered:
+                if probe(t):
                     t_min = max(t_min, t)
             # Standard bisection refines between the best covered level and
             # the ground-set upper bound.
-            t_max = upper
             while (
                 t_max - t_min > bisection_tol * t_max
                 and iters < MAX_BISECTION_ITERS
             ):
-                iters += 1
                 t = (t_min + t_max) / 2.0
-                state, _, covered = greedy_cover(
-                    objective,
-                    TruncatedFairness(t),
-                    target=1.0,
-                    budget=budget,
-                    candidates=cand,
-                    lazy=lazy,
-                )
-                actual_g = objective.fairness(state)
-                if actual_g > best_g:
-                    best_g = actual_g
-                    best_state = state
-                if covered:
+                if probe(t):
                     t_min = t
                 else:
                     t_max = t
-            if best_state is None:  # pragma: no cover - defensive
-                t = max(t_min, bisection_tol * upper)
-                best_state, _, _ = greedy_cover(
-                    objective,
-                    TruncatedFairness(t),
-                    target=1.0,
-                    budget=budget,
-                    candidates=cand,
-                    lazy=lazy,
-                )
             t_min = max(t_min, best_g)
-    result = make_result(
+    return make_result(
         "Saturate",
         objective,
         best_state,
@@ -178,4 +160,3 @@ def saturate(
             "upper_bound": upper if upper > 0 else 0.0,
         },
     )
-    return result

@@ -26,10 +26,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.core.cover import greedy_cover
-from repro.core.functions import (
-    GroupedObjective,
-    Scalarizer,
-)
+from repro.core.functions import AverageUtility, GroupedObjective, Scalarizer
+from repro.core.greedy import greedy_max
 from repro.core.result import SolverResult, make_result
 from repro.errors import SolverError
 from repro.utils.timing import Timer
@@ -70,7 +68,6 @@ def smsc(
     k: int,
     *,
     candidates: Optional[Iterable[int]] = None,
-    lazy: bool = True,
 ) -> SolverResult:
     """Run the SMSC baseline (two-group instances only).
 
@@ -89,13 +86,9 @@ def smsc(
     timer = Timer()
     start_calls = objective.oracle_calls
     with timer:
-        from repro.core.greedy import greedy_max
-
         per_group_opt = np.zeros(2)
         for i in range(2):
-            state, _ = greedy_max(
-                objective, _SingleGroup(i), k, candidates=candidates, lazy=lazy
-            )
+            state, _ = greedy_max(objective, _SingleGroup(i), k, candidates=candidates)
             per_group_opt[i] = state.group_values[i]
         best_state = None
         if np.all(per_group_opt > 0):
@@ -109,7 +102,6 @@ def smsc(
                     target=1.0,
                     budget=k,
                     candidates=candidates,
-                    lazy=lazy,
                 )
                 if covered:
                     t_min = t
@@ -119,22 +111,17 @@ def smsc(
         if best_state is None:
             # One group never benefits (or no level is coverable): fall
             # back to greedy on f so the baseline still reports a solution.
-            from repro.core.functions import AverageUtility
-
             best_state, _ = greedy_max(
-                objective, AverageUtility(), k, candidates=candidates, lazy=lazy
+                objective, AverageUtility(), k, candidates=candidates
             )
             t_min = 0.0
         if best_state.size < k:
-            from repro.core.functions import AverageUtility
-
             greedy_max(
                 objective,
                 AverageUtility(),
                 k - best_state.size,
                 state=best_state,
                 candidates=candidates,
-                lazy=lazy,
             )
     return make_result(
         "SMSC",

@@ -22,7 +22,12 @@ from typing import Iterable, Optional
 
 from repro.core.baselines import greedy_utility
 from repro.core.cover import greedy_cover
-from repro.core.functions import GroupedObjective, TruncatedFairness
+from repro.core.functions import (
+    AverageUtility,
+    GroupedObjective,
+    TruncatedFairness,
+)
+from repro.core.greedy import greedy_max
 from repro.core.result import SolverResult, make_result
 from repro.core.saturate import saturate
 from repro.utils.timing import Timer
@@ -35,7 +40,6 @@ def bsm_tsgreedy(
     tau: float,
     *,
     candidates: Optional[Iterable[int]] = None,
-    lazy: bool = True,
     greedy_result: Optional[SolverResult] = None,
     saturate_result: Optional[SolverResult] = None,
 ) -> SolverResult:
@@ -64,86 +68,54 @@ def bsm_tsgreedy(
     start_calls = objective.oracle_calls
     with timer:
         if greedy_result is None:
-            greedy_result = greedy_utility(
-                objective, k, candidates=candidates, lazy=lazy
-            )
+            greedy_result = greedy_utility(objective, k, candidates=candidates)
         if tau == 0.0:
             # No fairness constraint: BSM collapses to SM (Section 3).
-            state = objective.new_state()
-            for item in greedy_result.solution:
-                objective.add(state, item)
-            return_early = make_result(
-                "BSM-TSGreedy",
-                objective,
-                state,
-                oracle_calls=objective.oracle_calls - start_calls,
-                extra={
-                    "stage1_size": 0,
-                    "k_prime": len(greedy_result.solution),
-                    "used_sg_fallback": False,
-                    "opt_f_approx": greedy_result.utility,
-                    "opt_g_approx": None,
-                },
-            )
+            state = objective.state_of(greedy_result.solution)
+            stage1_size, used_fallback, opt_g_approx = 0, False, None
+            k_prime = len(greedy_result.solution)
         else:
-            return_early = None
-    if return_early is not None:
-        return_early.runtime = timer.elapsed
-        return return_early
-    with timer:
-        if saturate_result is None:
-            saturate_result = saturate(objective, k, candidates=candidates, lazy=lazy)
-        opt_g_approx = saturate_result.fairness
-        threshold = tau * opt_g_approx
-        used_fallback = False
-        if threshold <= 0.0:
-            # OPT'_g = 0: the fairness constraint is vacuous; stage 1 adds
-            # nothing and stage 2 fills with S_f.
-            state = objective.new_state()
-            stage1_size = 0
-        else:
-            surrogate = TruncatedFairness(threshold)
-            state, _, covered = greedy_cover(
-                objective,
-                surrogate,
-                target=1.0,
-                budget=k,
-                candidates=candidates,
-                lazy=lazy,
-            )
-            stage1_size = state.size
-            if state.size == k and not covered:
-                # Line 8: replace with S_g, which saturates g'_tau by
-                # construction (g(S_g) = OPT'_g >= tau * OPT'_g).
+            if saturate_result is None:
+                saturate_result = saturate(objective, k, candidates=candidates)
+            opt_g_approx = saturate_result.fairness
+            threshold = tau * opt_g_approx
+            used_fallback = False
+            if threshold <= 0.0:
+                # OPT'_g = 0: the fairness constraint is vacuous; stage 1
+                # adds nothing and stage 2 fills with S_f.
                 state = objective.new_state()
-                for item in saturate_result.solution:
-                    if state.size == k:
-                        break
+            else:
+                state, _, covered = greedy_cover(
+                    objective,
+                    TruncatedFairness(threshold),
+                    target=1.0,
+                    budget=k,
+                    candidates=candidates,
+                )
+                if state.size == k and not covered:
+                    # Line 8: replace with S_g, which saturates g'_tau by
+                    # construction (g(S_g) = OPT'_g >= tau * OPT'_g).
+                    state = objective.state_of(saturate_result.solution[:k])
+                    used_fallback = True
+            stage1_size = state.size
+            # Stage 2 (lines 10-15): append the greedy-for-f items in order.
+            k_prime = 0
+            for item in greedy_result.solution:
+                if state.size >= k:
+                    break
+                if not state.in_solution[item]:
                     objective.add(state, item)
-                stage1_size = state.size
-                used_fallback = True
-        # Stage 2 (lines 10-15): append the greedy-for-f items in order.
-        k_prime = 0
-        for item in greedy_result.solution:
-            if state.size >= k:
-                break
-            if not state.in_solution[item]:
-                objective.add(state, item)
-                k_prime += 1
-        # If S_f could not fill the solution (e.g. duplicates), pad with the
-        # best remaining items by utility gain to honour |S| = k.
-        if state.size < k:
-            from repro.core.functions import AverageUtility
-            from repro.core.greedy import greedy_max
-
-            greedy_max(
-                objective,
-                AverageUtility(),
-                k - state.size,
-                state=state,
-                candidates=candidates,
-                lazy=lazy,
-            )
+                    k_prime += 1
+            # If S_f could not fill the solution (e.g. duplicates), pad with
+            # the best remaining items by utility gain to honour |S| = k.
+            if state.size < k:
+                greedy_max(
+                    objective,
+                    AverageUtility(),
+                    k - state.size,
+                    state=state,
+                    candidates=candidates,
+                )
     return make_result(
         "BSM-TSGreedy",
         objective,

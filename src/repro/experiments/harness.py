@@ -100,9 +100,11 @@ class SweepResult:
 # whole-graph rewrites (`set_edge_probabilities`) fall back to a full
 # resample. Every cache is a byte-budgeted LRU (`repro.utils.caching`),
 # so a long-lived batch process cannot leak -- the unbounded module
-# dicts that used to live here are gone. The `repro serve` daemon runs
-# through the same sessions, so batch jobs and the service share one
-# reuse path.
+# dicts that used to live here are gone. The `repro serve` engine keeps
+# its own session registry, and sweeps sample with seeds derived from
+# the sweep seed, so a sweep does not reuse a service solve's warm
+# objective (nor the other way round); a `sweep` op served by the
+# daemon reuses the objectives of earlier sweeps on the same dataset.
 
 
 def _objective_for(

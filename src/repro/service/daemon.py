@@ -30,17 +30,9 @@ from repro.service.protocol import (
     Response,
     ServiceRequest,
     encode_response,
+    error_response,
     request_from_dict,
 )
-
-
-def error_response(message: str, member: object = None) -> Response:
-    # Surface the member's id when the malformed payload still carries
-    # one, so clients can correlate the failure to their request.
-    member_id = ""
-    if isinstance(member, dict) and isinstance(member.get("id"), str):
-        member_id = member["id"]
-    return Response(op="error", id=member_id, ok=False, error=message)
 
 
 def serve_forever(

@@ -32,6 +32,7 @@ from __future__ import annotations
 import time
 from typing import Any, Optional
 
+from repro.core.problem import BSMProblem
 from repro.core.result import SolverResult, make_result
 from repro.datasets.registry import DATASETS, load_dataset
 from repro.service.protocol import Response, ServiceRequest
@@ -62,8 +63,6 @@ class ServiceEngine:
         store: str = "ram",
         memory_budget: Optional[int] = None,
         max_sessions: int = MAX_SESSIONS,
-        objective_budget: Optional[int] = None,
-        eval_budget: Optional[int] = None,
     ) -> None:
         if store not in ("ram", "mmap"):
             raise ValueError(f"store must be 'ram' or 'mmap', got {store!r}")
@@ -73,8 +72,6 @@ class ServiceEngine:
         self.exec_backend = exec_backend
         self.store = store
         self.memory_budget = memory_budget
-        self._objective_budget = objective_budget
-        self._eval_budget = eval_budget
         self._sessions = BoundedCache(max_sessions, sizeof=lambda s: 1)
         self.requests_served = 0
         self.coalesced_requests = 0
@@ -106,18 +103,13 @@ class ServiceEngine:
         key = (dataset_name, int(seed), store, budget)
 
         def build() -> SolverSession:
-            dataset = load_dataset(dataset_name, seed=seed)
-            kwargs: dict[str, Any] = {
-                "workers": self.workers,
-                "exec_backend": self.exec_backend,
-                "store": store,
-                "memory_budget": budget,
-            }
-            if self._objective_budget is not None:
-                kwargs["objective_budget"] = self._objective_budget
-            if self._eval_budget is not None:
-                kwargs["eval_budget"] = self._eval_budget
-            return SolverSession(dataset, **kwargs)
+            return SolverSession(
+                load_dataset(dataset_name, seed=seed),
+                workers=self.workers,
+                exec_backend=self.exec_backend,
+                store=store,
+                memory_budget=budget,
+            )
 
         return self._sessions.get_or_create(key, build)
 
@@ -491,19 +483,18 @@ class ServiceEngine:
             im_samples=head.im_samples, sample_seed=head.seed,
             workers=head.workers,
         )
-        # Mirror BSMProblem's budget validation per request: an
-        # over-budget member fails alone, exactly as its sequential
-        # solve would, without poisoning the shared run.
+        # Validate each member through BSMProblem: an over-budget member
+        # fails alone, exactly as its sequential solve would, without
+        # poisoning the shared run.
         rejected: dict[int, Response] = {}
         admitted: list[ServiceRequest] = []
         for request in requests:
-            if request.k > objective.num_items:
+            try:
+                BSMProblem(objective, k=request.k)
+            except ValueError as exc:
                 rejected[id(request)] = Response(
                     op="solve", id=request.id, ok=False,
-                    error=(
-                        f"ValueError: k={request.k} exceeds the "
-                        f"ground-set size {objective.num_items}"
-                    ),
+                    error=f"{type(exc).__name__}: {exc}",
                 )
             else:
                 admitted.append(request)
@@ -561,10 +552,7 @@ class ServiceEngine:
         smaller run would have performed, so the reconstructed state is
         bitwise-identical to it.
         """
-        prefix = shared.solution[:k]
-        state = objective.new_state()
-        for item in prefix:
-            objective.add(state, item)
+        state = objective.state_of(shared.solution[:k])
         return make_result(
             shared.algorithm,
             objective,

@@ -250,6 +250,16 @@ class Response:
     cache: dict[str, Any] = field(default_factory=dict)
 
 
+def error_response(message: str, member: object = None) -> Response:
+    """The ``ok: false`` answer to a line or member that failed to parse."""
+    # Surface the member's id when the malformed payload still carries
+    # one, so clients can correlate the failure to their request.
+    member_id = ""
+    if isinstance(member, dict) and isinstance(member.get("id"), str):
+        member_id = member["id"]
+    return Response(op="error", id=member_id, ok=False, error=message)
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ProtocolError(message)

@@ -20,7 +20,7 @@ Four mechanisms make the engines safe and fast under concurrency:
   ``shutdown`` is acked by the front-end and drains the whole pool.
 * **Per-shard micro-batch coalescing windows.** Admitted requests land
   on their shard's queue; a per-shard batcher task gathers everything
-  that arrives within ``batch_window`` seconds (up to ``max_batch``)
+  that arrives within ``batch_window`` seconds (up to :data:`MAX_BATCH`)
   into a single engine batch. Requests from *different connections*
   therefore coalesce exactly like members of one array line — many
   users asking for the same dataset's seeds collapse into one shared
@@ -66,13 +66,13 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Any, Optional
 
-from repro.service.daemon import error_response
 from repro.service.engine import ServiceEngine
 from repro.service.protocol import (
     ProtocolError,
     Response,
     ServiceRequest,
     encode_response,
+    error_response,
     request_from_dict,
 )
 from repro.service.shards import EngineShardPool, shard_for_dataset
@@ -83,9 +83,11 @@ DEFAULT_HOST = "127.0.0.1"
 DEFAULT_MAX_QUEUE_DEPTH = 256
 DEFAULT_MAX_INFLIGHT = 2
 DEFAULT_BATCH_WINDOW = 0.005  # seconds
-DEFAULT_MAX_BATCH = 64
 DEFAULT_MAX_LINE_BYTES = 1 << 20
 DEFAULT_RETRY_AFTER_MS = 100
+
+#: Most requests one shard batch gathers before it is dispatched.
+MAX_BATCH = 64
 
 #: Minimum width of the persistent thread pool the server dispatches
 #: shard batches onto. One thread per shard can block on a batch plus
@@ -151,7 +153,6 @@ class TCPServer:
         max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         batch_window: float = DEFAULT_BATCH_WINDOW,
-        max_batch: int = DEFAULT_MAX_BATCH,
         max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
         retry_after_ms: int = DEFAULT_RETRY_AFTER_MS,
         shards: int = 1,
@@ -164,8 +165,6 @@ class TCPServer:
             raise ValueError("max_inflight must be >= 1")
         if batch_window < 0:
             raise ValueError("batch_window must be >= 0")
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
         if max_line_bytes < 1024:
             raise ValueError("max_line_bytes must be >= 1024")
         self.host = host
@@ -173,7 +172,6 @@ class TCPServer:
         self.max_queue_depth = max_queue_depth
         self.max_inflight = max_inflight
         self.batch_window = batch_window
-        self.max_batch = max_batch
         self.max_line_bytes = max_line_bytes
         self.retry_after_ms = retry_after_ms
         self.stats = ServerStats()
@@ -506,7 +504,7 @@ class TCPServer:
         """Gather one shard's queue into micro-batches and dispatch them.
 
         The window opens when the first item of a batch arrives and
-        closes ``batch_window`` seconds later (or at ``max_batch``), so
+        closes ``batch_window`` seconds later (or at :data:`MAX_BATCH`), so
         a busy server coalesces aggressively. The wait is paid even when
         nothing else arrives: a lone request on an idle server reaches
         the engine ``batch_window`` seconds after it was queued.
@@ -522,7 +520,7 @@ class TCPServer:
             batch = [item]
             deadline = loop.time() + self.batch_window
             stop = False
-            while len(batch) < self.max_batch:
+            while len(batch) < MAX_BATCH:
                 remaining = deadline - loop.time()
                 if remaining <= 0:
                     break
@@ -580,7 +578,7 @@ class TCPServer:
                 "max_queue_depth": self.max_queue_depth,
                 "max_inflight": self.max_inflight,
                 "batch_window_ms": self.batch_window * 1000.0,
-                "max_batch": self.max_batch,
+                "max_batch": MAX_BATCH,
                 "max_line_bytes": self.max_line_bytes,
                 "retry_after_ms": self.retry_after_ms,
             },

@@ -10,11 +10,14 @@ instances. All of it sits behind byte-budgeted LRU caches
 every cache reports hit/miss statistics that the service surfaces in
 responses.
 
-The experiment harness (:mod:`repro.experiments.harness`) routes its
-per-sweep objective/evaluation reuse through the same sessions via
-:func:`shared_session`, so ``sweep_tau``/``sweep_k``/``run_figure`` and
-the ``repro serve`` daemon share one reuse path — a sweep warmed by a
-service request (or vice versa) pays for sampling exactly once.
+Two registries hold sessions. The ``repro serve`` engine
+(:class:`~repro.service.engine.ServiceEngine`) keeps its own LRU of
+sessions keyed by ``(dataset, seed, store, memory budget)``. The
+experiment harness (:mod:`repro.experiments.harness`) goes through the
+module-level :func:`shared_session` registry, keyed by the loaded
+dataset object, and samples with seeds it derives from the sweep seed.
+The two share the session class and its caches' code, not warm state:
+a service ``solve`` does not warm a sweep, nor the other way round.
 """
 
 from __future__ import annotations
@@ -489,9 +492,8 @@ def shared_session(
     Keyed by dataset identity (two ``load_dataset`` calls produce
     independent instances, exactly like the old harness caches); the
     registry holds at most :data:`MAX_SHARED_SESSIONS` sessions, LRU.
-    Batch jobs (the sweep harness) and one-shot CLI requests go through
-    here, so repeated runs against the same loaded dataset share warm
-    state.
+    The sweep harness goes through here, so repeated sweeps against the
+    same loaded dataset share warm state.
     """
     return SolverSession(dataset, workers=workers)
 

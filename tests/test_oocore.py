@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from repro.core.baselines import greedy_utility
+from repro.core.functions import AverageUtility
+from repro.core.greedy import greedy_max
 from repro.core.problem import BSMProblem
 from repro.datasets.registry import load_dataset
 from repro.errors import StorageError
@@ -390,8 +392,8 @@ class TestSegmentedIdentity:
     def test_plain_and_lazy_greedy_agree_on_segmented(self, name, overrides):
         _, _, seg = _flat_and_segmented(name, overrides)
         assert (
-            greedy_utility(seg, 6, lazy=False).solution
-            == greedy_utility(seg, 6, lazy=True).solution
+            greedy_max(seg, AverageUtility(), 6, lazy=False)[0].solution
+            == greedy_max(seg, AverageUtility(), 6, lazy=True)[0].solution
         )
 
     def test_bsm_solver_identical_on_segmented(self):

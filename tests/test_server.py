@@ -17,8 +17,12 @@ import pytest
 from repro.service.daemon import serve_forever
 from repro.service.engine import ServiceEngine
 from repro.service.loadgen import LoadScript, parse_mix, percentile, run_load
-from repro.service.protocol import encode_response, request_from_dict
-from repro.service.server import TCPServer
+from repro.service.protocol import (
+    encode_response,
+    error_response,
+    request_from_dict,
+)
+from repro.service.server import MAX_BATCH, TCPServer
 from repro.utils.parallel import WorkerPool, fork_available, get_pool
 
 DATASET = "rand-mc-c2"
@@ -176,6 +180,21 @@ class TestTCPBasics:
         assert server_block["requests_admitted"] == 1
         assert server_block["config"]["max_queue_depth"] >= 1
         assert server_block["draining"] is False
+
+    def test_stats_config_reports_the_batch_cap(self):
+        async def scenario():
+            server = await started_server(batch_window=0.0)
+            try:
+                return server.stats_dict()
+            finally:
+                await server.drain()
+
+        assert run_async(scenario())["config"]["max_batch"] == MAX_BATCH
+
+    def test_error_response_echoes_a_string_member_id(self):
+        error = error_response("bad member", {"id": "m1", "op": 7})
+        assert (error.op, error.id, error.ok) == ("error", "m1", False)
+        assert error_response("bad member", {"id": 3}).id == ""
 
 
 class TestOneServingPath:

@@ -402,6 +402,19 @@ class TestCoalescing:
         assert all(not r.ok for r in responses)
         assert all(r.error for r in responses)
 
+    def test_coalesced_over_budget_member_matches_sequential_error(self):
+        engine = ServiceEngine()
+        over = Request(op="solve", id="over", dataset="rand-fl-c2",
+                       algorithm="greedy", k=10_000)
+        fits = Request(op="solve", id="fits", dataset="rand-fl-c2",
+                       algorithm="greedy", k=3)
+        coalesced = engine.handle_batch([over, fits])
+        assert encode_response(coalesced[0]) == encode_response(
+            ServiceEngine().handle(over)
+        )
+        assert coalesced[1].ok
+        assert coalesced[1].result["extra"]["coalesced_width"] == 1
+
 
 # ---------------------------------------------------------------------------
 # ServiceEngine ops
