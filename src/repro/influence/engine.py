@@ -18,22 +18,32 @@ dedups arrivals against a flat visited buffer — no per-node Python work.
 Memory is bounded by chunking the instances so the visited buffer stays
 under ``max_keys`` bools regardless of ``n`` or the sample count.
 
-Multi-core execution: every entry point takes ``workers``. ``None`` (the
-default) keeps the legacy in-line stream — one caller-supplied generator
-drawn across chunks sequentially, bit-for-bit the pre-parallel
-behaviour. Any integer ``workers >= 1`` switches to the *unit
-decomposition*: instances are split into fixed work units (sized by the
-visited-buffer cap and :data:`repro.utils.parallel.DEFAULT_UNITS`, never
-by the worker count), each unit draws from its own
-``SeedSequence.spawn`` child stream, and units are dispatched over a
-persistent worker pool (:func:`repro.utils.parallel.parallel_map`).
-``exec_backend`` picks the pool flavour — ``"thread"`` (default) shares
-the CSR triple zero-copy and releases the GIL inside the kernels,
-``"process"`` ships it through ``multiprocessing.shared_memory``,
-``"serial"`` runs the units in-process. Because the decomposition and
-the streams depend only on the inputs, results are bitwise-identical
-for every worker count and every backend — including ``workers=1``,
-which runs the same units serially in-process.
+One iterator draws every RR set: :func:`sample_rr_sets_stream` yields
+packed ``(set_indptr, set_indices)`` chunks under one of two laws.
+
+* ``workers=None`` is the in-line stream: one caller-supplied generator
+  drawn across chunks in order. Chunks hold ``max_keys // n`` instances
+  over a dense visited buffer, or, when ``chunk_instances`` is given,
+  that many instances over a sparse visited set whose memory is
+  O(reached keys) (the out-of-core tier's law).
+* Any integer ``workers >= 1`` is the *unit decomposition*: instances
+  are split into fixed work units (sized by the visited-buffer cap and
+  :data:`repro.utils.parallel.DEFAULT_UNITS`, never by the worker
+  count), each unit draws from its own ``SeedSequence.spawn`` child
+  stream, and units run over a persistent worker pool
+  (:func:`repro.utils.parallel.parallel_imap`), yielded in unit order.
+  ``exec_backend`` picks the pool flavour — ``"thread"`` (default)
+  shares the CSR triple zero-copy and releases the GIL inside the
+  kernels, ``"process"`` ships it through
+  ``multiprocessing.shared_memory``, ``"serial"`` runs the units
+  in-process. Because the decomposition and the streams depend only on
+  the inputs, results are bitwise-identical for every worker count and
+  every backend — including ``workers=1``, which runs the same units
+  serially in-process.
+
+:func:`sample_rr_sets_batch` is that iterator concatenated into one
+packed pair; :func:`cascade_activation_counts` runs forward cascades
+through the same chunk kernel under the same two laws.
 
 The chunk BFS itself dispatches through :mod:`repro.kernels`: ``kernel``
 selects the implementation set (baseline / tightened numpy / compiled
@@ -42,7 +52,7 @@ numba), all bitwise-equal by contract.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -58,6 +68,7 @@ from repro.utils.parallel import (
 )
 
 Adjacency = tuple[np.ndarray, np.ndarray, np.ndarray]
+Packed = tuple[np.ndarray, np.ndarray]
 
 #: Visited-buffer budget (flat ``instance * n + node`` bool keys) per
 #: chunk — 32M keys = 32 MB, small enough to live in cache-friendly
@@ -65,54 +76,9 @@ Adjacency = tuple[np.ndarray, np.ndarray, np.ndarray]
 MAX_FLAT_KEYS = 1 << 25
 
 
-def _reachability_chunk(
-    adjacency: Adjacency,
-    start_keys: np.ndarray,
-    num_instances: int,
-    rng: np.random.Generator,
-    kernel: Optional[str] = None,
-) -> np.ndarray:
-    """All ``instance * n + node`` keys reachable from ``start_keys``.
-
-    One level-synchronous BFS over every instance at once, dispatched to
-    the active kernel set (see :mod:`repro.kernels`; the reference
-    semantics live in :func:`repro.kernels.baseline.reachability_chunk`).
-    """
-    return get_kernel(kernel).reachability_chunk(
-        adjacency, start_keys, num_instances, rng
-    )
-
-
-def _reachability_chunk_sparse(
-    adjacency: Adjacency,
-    start_keys: np.ndarray,
-    rng: np.random.Generator,
-    kernel: Optional[str] = None,
-) -> np.ndarray:
-    """:func:`_reachability_chunk` without the dense visited buffer.
-
-    Memory is O(reached keys) — the out-of-core tier's sampler. Same
-    draw law as the dense chunk (see
-    :func:`repro.kernels.baseline.reachability_chunk_sparse`).
-    """
-    return get_kernel(kernel).reachability_chunk_sparse(
-        adjacency, start_keys, rng
-    )
-
-
-def _pack_chunk_keys(
-    keys: np.ndarray,
-    num_instances: int,
-    n: int,
-    kernel: Optional[str] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pack one chunk's reached keys into a ``(set_indptr, set_indices)``.
-
-    Dispatches to the active kernel set — the optimized sets run the
-    divmod and the stable argsort on narrow dtypes when the flat key
-    space allows; outputs are bitwise those of the baseline pack.
-    """
-    return get_kernel(kernel).pack_chunk_keys(keys, num_instances, n)
+def _chunk_size(n: int, max_keys: int) -> int:
+    """Instances per dense chunk: the visited buffer holds ``max_keys``."""
+    return max(int(max_keys) // max(n, 1), 1)
 
 
 def _instance_units(
@@ -124,135 +90,133 @@ def _instance_units(
     global unit target; it depends only on the inputs, so every worker
     count sees the same units (the determinism contract).
     """
-    cap = max(int(max_keys) // max(n, 1), 1)
-    return split_ranges(num_instances, unit_size_for(num_instances, cap=cap))
-
-
-def _reachability_unit(ctx: WorkerContext, task: tuple) -> np.ndarray:
-    """Worker: one reachability unit on the shared CSR triple."""
-    start_keys, num_instances, seed = task
-    return _reachability_chunk(
-        ctx.arrays,
-        start_keys,
+    return split_ranges(
         num_instances,
-        np.random.default_rng(seed),
-        kernel=ctx.payload,
+        unit_size_for(num_instances, cap=_chunk_size(n, max_keys)),
     )
 
 
-def _rr_pack_unit(
-    ctx: WorkerContext, task: tuple
-) -> tuple[np.ndarray, np.ndarray]:
+def _check_roots(roots: np.ndarray, n: int) -> np.ndarray:
+    """``roots`` as int64; ``IndexError`` names the first one outside ``[0, n)``."""
+    roots = np.asarray(roots, dtype=np.int64)
+    if roots.size and (roots.min() < 0 or roots.max() >= n):
+        bad = roots[(roots < 0) | (roots >= n)][0]
+        raise IndexError(f"root {bad} out of range [0, {n})")
+    return roots
+
+
+def _rr_chunk(
+    adjacency: Adjacency,
+    roots: np.ndarray,
+    rng: np.random.Generator,
+    kernel: Optional[str],
+    sparse: bool = False,
+) -> Packed:
+    """Sample one chunk's RR sets (one per root) and pack them.
+
+    The dense chunk keeps a ``roots.size * n`` visited buffer, the
+    sparse one only the reached keys (see
+    :func:`repro.kernels.baseline.reachability_chunk` and
+    :func:`repro.kernels.baseline.reachability_chunk_sparse` for the
+    draw law). The pack puts each set's root first.
+    """
+    impl = get_kernel(kernel)
+    n = adjacency[0].size - 1
+    start_keys = np.arange(roots.size, dtype=np.int64) * n + roots
+    if sparse:
+        keys = impl.reachability_chunk_sparse(adjacency, start_keys, rng)
+    else:
+        keys = impl.reachability_chunk(adjacency, start_keys, roots.size, rng)
+    return impl.pack_chunk_keys(keys, roots.size, n)
+
+
+def _rr_pack_unit(ctx: WorkerContext, task: tuple) -> Packed:
     """Worker: sample one unit's RR sets and CSR-pack them locally."""
     roots, seed = task
-    indptr = ctx.arrays[0]
-    n = indptr.size - 1
-    keys = _reachability_chunk(
-        ctx.arrays,
-        np.arange(roots.size, dtype=np.int64) * n + roots,
-        roots.size,
-        np.random.default_rng(seed),
-        kernel=ctx.payload,
-    )
-    return _pack_chunk_keys(keys, roots.size, n, kernel=ctx.payload)
+    return _rr_chunk(ctx.arrays, roots, np.random.default_rng(seed), ctx.payload)
 
 
-def _cascade_count_unit(ctx: WorkerContext, task: tuple) -> np.ndarray:
-    """Worker: per-node activation counts of one unit of cascades."""
-    seeds, num_cascades, seed = task
-    indptr = ctx.arrays[0]
-    n = indptr.size - 1
-    keys = _reachability_chunk(
-        ctx.arrays,
-        np.repeat(np.arange(num_cascades, dtype=np.int64), seeds.size) * n
-        + np.tile(seeds, num_cascades),
-        num_cascades,
-        np.random.default_rng(seed),
-        kernel=ctx.payload,
+def _cascade_counts(
+    adjacency: Adjacency,
+    seeds: np.ndarray,
+    m: int,
+    rng: np.random.Generator,
+    kernel: Optional[str],
+) -> np.ndarray:
+    """Per-node activation counts of one chunk of ``m`` cascades."""
+    n = adjacency[0].size - 1
+    keys = get_kernel(kernel).reachability_chunk(
+        adjacency,
+        np.repeat(np.arange(m, dtype=np.int64), seeds.size) * n
+        + np.tile(seeds, m),
+        m,
+        rng,
     )
     return np.bincount(keys % n, minlength=n)
 
 
-def batched_reachability(
-    adjacency: Adjacency,
-    start_ids: np.ndarray,
-    start_nodes: np.ndarray,
-    num_instances: int,
+def _cascade_count_unit(ctx: WorkerContext, task: tuple) -> np.ndarray:
+    """Worker: per-node activation counts of one unit of cascades."""
+    seeds, m, seed = task
+    return _cascade_counts(
+        ctx.arrays, seeds, m, np.random.default_rng(seed), ctx.payload
+    )
+
+
+def sample_rr_sets_stream(
+    transpose_adjacency: Adjacency,
+    roots: np.ndarray,
     rng: np.random.Generator,
     *,
     max_keys: int = MAX_FLAT_KEYS,
+    chunk_instances: Optional[int] = None,
     workers: Optional[int] = None,
     exec_backend: Optional[str] = None,
     kernel: Optional[str] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Randomized multi-instance reachability; returns ``(ids, nodes)``.
+) -> Iterator[Packed]:
+    """Yield packed ``(set_indptr, set_indices)`` chunks, one RR set per root.
 
-    ``start_ids``/``start_nodes`` list the BFS sources as parallel arrays
-    (an instance may have several sources — a cascade's seed set). The
-    result enumerates every reached ``(instance, node)`` pair, sources
-    included, each pair exactly once. Instances are processed in chunks
-    of ``max_keys // n`` so the visited buffer never exceeds ``max_keys``
-    bools. With ``workers`` set, the chunks become per-unit tasks with
-    spawned RNG streams, dispatched over the persistent worker pool of
-    the chosen ``exec_backend`` (see the module docstring for the
-    determinism contract).
+    ``transpose_adjacency`` is the CSR triple of the transpose graph (so
+    out-arcs walk original arcs backwards). Within a chunk, sample
+    ``j``'s nodes occupy ``set_indices[set_indptr[j]:set_indptr[j + 1]]``,
+    root first; chunks follow root order, so ``concat_packed`` over them
+    is the whole collection.
+
+    ``workers=None`` draws the chunks in-line from ``rng``: dense chunks
+    of ``max_keys // n`` roots, or sparse chunks of ``chunk_instances``
+    roots when that is given. The two agree bitwise whenever both cover
+    the roots in one chunk (``roots.size <= min(chunk_instances,
+    max_keys // n)``, which covers the bitwise-pinned small datasets);
+    beyond that the sparse law is deterministic but its own. Any integer
+    ``workers`` runs the unit decomposition instead (``chunk_instances``
+    does not apply): units sample and pack on the ``exec_backend`` pool
+    and are yielded in unit order with a bounded number in flight, so
+    the result is bitwise-identical for every worker count. The caller
+    that streams chunks into segments (the out-of-core tier) holds one
+    chunk at a time, never the whole collection.
     """
-    indptr = adjacency[0]
-    n = indptr.size - 1
-    if start_ids.size != start_nodes.size:
-        raise ValueError("start_ids and start_nodes must have equal length")
-    if num_instances == 0 or start_ids.size == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
+    n = transpose_adjacency[0].size - 1
+    roots = _check_roots(roots, n)
+    if roots.size == 0:
+        return
     if workers is not None:
-        units = _instance_units(num_instances, n, max_keys)
+        units = _instance_units(roots.size, n, max_keys)
         seeds = spawn_seed_sequences(rng, len(units))
-        tasks = []
-        for (lo, hi), seq in zip(units, seeds):
-            in_unit = (start_ids >= lo) & (start_ids < hi)
-            tasks.append(
-                (
-                    (start_ids[in_unit] - lo) * n + start_nodes[in_unit],
-                    hi - lo,
-                    seq,
-                )
-            )
-        parts = parallel_map(
-            _reachability_unit,
-            tasks,
+        yield from parallel_imap(
+            _rr_pack_unit,
+            [(roots[lo:hi], seq) for (lo, hi), seq in zip(units, seeds)],
             workers=workers,
-            shared=adjacency,
+            shared=transpose_adjacency,
             payload=kernel,
             backend=exec_backend,
         )
-        ids_parts = [keys // n + lo for (lo, _), keys in zip(units, parts)]
-        node_parts = [keys % n for keys in parts]
-        return np.concatenate(ids_parts), np.concatenate(node_parts)
-    chunk = max(int(max_keys) // max(n, 1), 1)
-    if num_instances <= chunk:
-        keys = _reachability_chunk(
-            adjacency,
-            start_ids * n + start_nodes,
-            num_instances,
-            rng,
-            kernel=kernel,
+        return
+    sparse = chunk_instances is not None
+    chunk = max(int(chunk_instances), 1) if sparse else _chunk_size(n, max_keys)
+    for lo in range(0, roots.size, chunk):
+        yield _rr_chunk(
+            transpose_adjacency, roots[lo:lo + chunk], rng, kernel, sparse
         )
-        return keys // n, keys % n
-    ids_parts: list[np.ndarray] = []
-    node_parts: list[np.ndarray] = []
-    for lo in range(0, num_instances, chunk):
-        hi = min(lo + chunk, num_instances)
-        in_chunk = (start_ids >= lo) & (start_ids < hi)
-        keys = _reachability_chunk(
-            adjacency,
-            (start_ids[in_chunk] - lo) * n + start_nodes[in_chunk],
-            hi - lo,
-            rng,
-            kernel=kernel,
-        )
-        ids_parts.append(keys // n + lo)
-        node_parts.append(keys % n)
-    return np.concatenate(ids_parts), np.concatenate(node_parts)
 
 
 def sample_rr_sets_batch(
@@ -264,154 +228,24 @@ def sample_rr_sets_batch(
     workers: Optional[int] = None,
     exec_backend: Optional[str] = None,
     kernel: Optional[str] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample one RR set per root, all through one batched reverse BFS.
+) -> Packed:
+    """Sample one RR set per root into one packed ``(set_indptr, set_indices)``.
 
-    ``transpose_adjacency`` is the CSR triple of the transpose graph (so
-    out-arcs walk original arcs backwards). Returns the packed pair
-    ``(set_indptr, set_indices)``: sample ``j``'s nodes occupy
-    ``set_indices[set_indptr[j]:set_indptr[j + 1]]``, root first. With
-    ``workers`` set, root ranges become pool tasks — each unit samples
-    *and packs* its sets, the parent concatenates the packed pairs in
-    unit order, so the result is bitwise-identical for every worker
-    count.
+    :func:`sample_rr_sets_stream` with dense chunks, concatenated.
     """
-    roots = np.asarray(roots, dtype=np.int64)
-    n = transpose_adjacency[0].size - 1
-    if roots.size and (roots.min() < 0 or roots.max() >= n):
-        bad = roots[(roots < 0) | (roots >= n)][0]
-        raise IndexError(f"root {bad} out of range [0, {n})")
-    if workers is not None and roots.size:
-        units = _instance_units(roots.size, n, max_keys)
-        seeds = spawn_seed_sequences(rng, len(units))
-        tasks = [
-            (roots[lo:hi], seq) for (lo, hi), seq in zip(units, seeds)
-        ]
-        parts = parallel_map(
-            _rr_pack_unit,
-            tasks,
-            workers=workers,
-            shared=transpose_adjacency,
-            payload=kernel,
-            backend=exec_backend,
-        )
-        return concat_packed(parts)
-    sample_ids, nodes = batched_reachability(
-        transpose_adjacency,
-        np.arange(roots.size, dtype=np.int64),
-        roots,
-        roots.size,
-        rng,
-        max_keys=max_keys,
-        kernel=kernel,
-    )
-    order = np.argsort(sample_ids, kind="stable")
-    counts = np.bincount(sample_ids, minlength=roots.size)
-    set_indptr = np.zeros(roots.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=set_indptr[1:])
-    return set_indptr, nodes[order]
-
-
-def sample_rr_sets_packed_units(
-    transpose_adjacency: Adjacency,
-    roots: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    max_keys: int = MAX_FLAT_KEYS,
-    workers: int = 1,
-    exec_backend: Optional[str] = None,
-    kernel: Optional[str] = None,
-    window: Optional[int] = None,
-):
-    """Yield packed ``(set_indptr, set_indices)`` pairs, one per work unit.
-
-    The streaming twin of the ``workers`` path of
-    :func:`sample_rr_sets_batch`: the *same* unit decomposition and
-    spawned seed streams, dispatched through
-    :func:`repro.utils.parallel.parallel_imap` with a bounded in-flight
-    window, yielding each unit's locally packed pair in unit order.
-    Concatenating the yielded pairs reproduces
-    ``sample_rr_sets_batch(..., workers=w)`` bit for bit — which is how
-    the out-of-core tier appends worker-sampled chunks into segments
-    without ever materializing the flat collection.
-    """
-    roots = np.asarray(roots, dtype=np.int64)
-    n = transpose_adjacency[0].size - 1
-    if roots.size and (roots.min() < 0 or roots.max() >= n):
-        bad = roots[(roots < 0) | (roots >= n)][0]
-        raise IndexError(f"root {bad} out of range [0, {n})")
-    if roots.size == 0:
-        return
-    units = _instance_units(roots.size, n, max_keys)
-    seeds = spawn_seed_sequences(rng, len(units))
-    tasks = [(roots[lo:hi], seq) for (lo, hi), seq in zip(units, seeds)]
-    yield from parallel_imap(
-        _rr_pack_unit,
-        tasks,
-        workers=workers,
-        shared=transpose_adjacency,
-        payload=kernel,
-        backend=exec_backend,
-        window=window,
-    )
-
-
-def sample_rr_sets_stream(
-    transpose_adjacency: Adjacency,
-    roots: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    max_keys: int = MAX_FLAT_KEYS,
-    chunk_instances: Optional[int] = None,
-    kernel: Optional[str] = None,
-):
-    """Yield packed ``(set_indptr, set_indices)`` pairs chunk by chunk.
-
-    The streaming twin of the serial :func:`sample_rr_sets_batch`: the
-    out-of-core path flushes each yielded chunk into a byte-budgeted
-    segment instead of concatenating everything into one flat pair, so
-    peak memory is one chunk, not the whole collection.
-
-    With ``chunk_instances=None`` the chunk law is the flat serial law
-    (``max_keys // n`` instances per chunk, dense visited buffer) and
-    ``concat_packed`` over the yielded pairs is bitwise-identical to
-    ``sample_rr_sets_batch(..., workers=None)`` — per-chunk stable
-    argsorts concatenate to the global stable argsort because instance
-    ids are grouped by chunk. An explicit ``chunk_instances`` switches to
-    the sparse visited structure (:func:`_reachability_chunk_sparse`),
-    whose memory is O(reached keys) instead of O(instances · n): the
-    draws still match the flat law whenever both paths process the roots
-    in a single chunk (``roots.size <= min(chunk_instances,
-    max_keys // n)``), which covers the bitwise-pinned small datasets;
-    large graphs get a deterministic law of their own.
-    """
-    roots = np.asarray(roots, dtype=np.int64)
-    n = transpose_adjacency[0].size - 1
-    if roots.size and (roots.min() < 0 or roots.max() >= n):
-        bad = roots[(roots < 0) | (roots >= n)][0]
-        raise IndexError(f"root {bad} out of range [0, {n})")
-    if roots.size == 0:
-        return
-    if chunk_instances is None:
-        chunk = max(int(max_keys) // max(n, 1), 1)
-        sparse = False
-    else:
-        chunk = max(int(chunk_instances), 1)
-        sparse = True
-    for lo in range(0, roots.size, chunk):
-        hi = min(lo + chunk, roots.size)
-        start_keys = (
-            np.arange(hi - lo, dtype=np.int64) * n + roots[lo:hi]
-        )
-        if sparse:
-            keys = _reachability_chunk_sparse(
-                transpose_adjacency, start_keys, rng, kernel=kernel
+    return concat_packed(
+        list(
+            sample_rr_sets_stream(
+                transpose_adjacency,
+                roots,
+                rng,
+                max_keys=max_keys,
+                workers=workers,
+                exec_backend=exec_backend,
+                kernel=kernel,
             )
-        else:
-            keys = _reachability_chunk(
-                transpose_adjacency, start_keys, hi - lo, rng, kernel=kernel
-            )
-        yield _pack_chunk_keys(keys, hi - lo, n, kernel=kernel)
+        )
+    )
 
 
 def cascade_activation_counts(
@@ -443,31 +277,22 @@ def cascade_activation_counts(
     if workers is not None:
         units = _instance_units(num_cascades, n, max_keys)
         seqs = spawn_seed_sequences(rng, len(units))
-        tasks = [
-            (seeds, hi - lo, seq) for (lo, hi), seq in zip(units, seqs)
-        ]
         parts = parallel_map(
             _cascade_count_unit,
-            tasks,
+            [(seeds, hi - lo, seq) for (lo, hi), seq in zip(units, seqs)],
             workers=workers,
             shared=adjacency,
             payload=kernel,
             backend=exec_backend,
         )
-        for part in parts:
-            counts += part
-        return counts
-    chunk = max(int(max_keys) // max(n, 1), 1)
-    for lo in range(0, num_cascades, chunk):
-        m = min(chunk, num_cascades - lo)
-        _, nodes = batched_reachability(
-            adjacency,
-            np.repeat(np.arange(m, dtype=np.int64), seeds.size),
-            np.tile(seeds, m),
-            m,
-            rng,
-            max_keys=max_keys,
-            kernel=kernel,
+    else:
+        chunk = _chunk_size(n, max_keys)
+        parts = (
+            _cascade_counts(
+                adjacency, seeds, min(chunk, num_cascades - lo), rng, kernel
+            )
+            for lo in range(0, num_cascades, chunk)
         )
-        counts += np.bincount(nodes, minlength=n)
+    for part in parts:
+        counts += part
     return counts

@@ -13,7 +13,7 @@ evaluate final solutions (Section 5.2).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -132,6 +132,31 @@ def monte_carlo_group_spread(
         graph.groups, weights=counts, minlength=graph.num_groups
     )
     return totals / (sizes * num_simulations)
+
+
+def simulated_group_spread(
+    graph: Graph,
+    simulate: Callable[[Sequence[int], np.random.Generator], np.ndarray],
+    seeds: Sequence[int],
+    num_simulations: int,
+    *,
+    seed: SeedLike = None,
+) -> np.ndarray:
+    """Per-group average activation probabilities over scalar cascades.
+
+    ``simulate(seeds, rng)`` runs one cascade of a model without a
+    batched engine (LT, triggering) and returns its boolean activation
+    vector; the per-group counts are averaged over ``num_simulations``
+    cascades drawn from one stream.
+    """
+    check_positive_int(num_simulations, "num_simulations")
+    rng = as_generator(seed)
+    labels = graph.groups
+    c = graph.num_groups
+    totals = np.zeros(c, dtype=float)
+    for _ in range(num_simulations):
+        totals += np.bincount(labels[simulate(seeds, rng)], minlength=c)
+    return totals / (graph.group_sizes().astype(float) * num_simulations)
 
 
 def monte_carlo_spread(

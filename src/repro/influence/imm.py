@@ -47,7 +47,11 @@ import numpy as np
 
 from repro.graphs.graph import Graph
 from repro.influence.engine import sample_rr_sets_batch
-from repro.influence.ris import RRCollection, sample_rr_collection
+from repro.influence.ris import (
+    RRCollection,
+    missing_group_roots,
+    sample_rr_collection,
+)
 from repro.utils.csr import build_csr, concat_packed, gather_csr_slices, invert_csr
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive_int
@@ -241,7 +245,9 @@ def _final_unstratified(
     samples are conditioned on the doubling phase's stopping event (see
     the module docstring for why that trade is accepted). Groups that no
     root hit get one extra RR set each (the collection requires every
-    group to be present), mirroring ``sample_rr_collection``.
+    group to be present), drawn by the same
+    :func:`~repro.influence.ris.missing_group_roots` as
+    ``sample_rr_collection``.
     """
     set_indptr, set_indices = packed
     reused = min(set_indptr.size - 1, theta)
@@ -262,16 +268,10 @@ def _final_unstratified(
         )
         group_parts.append(labels[roots])
     root_groups = np.concatenate(group_parts)
-    present = np.bincount(root_groups, minlength=graph.num_groups)
-    missing = np.flatnonzero(present == 0)
-    if missing.size:
-        extra = np.asarray(
-            [
-                graph.group_members(i)[rng.integers(0, graph.group_members(i).size)]
-                for i in missing
-            ],
-            dtype=np.int64,
-        )
+    extra = np.fromiter(
+        missing_group_roots(graph, root_groups, rng), dtype=np.int64
+    )
+    if extra.size:
         parts.append(
             sample_rr_sets_batch(
                 transpose,
@@ -282,8 +282,7 @@ def _final_unstratified(
                 kernel=kernel,
             )
         )
-        group_parts.append(labels[extra])
-        root_groups = np.concatenate(group_parts)
+        root_groups = np.concatenate([root_groups, labels[extra]])
     merged_ptr, merged_idx = concat_packed(parts)
     collection = RRCollection.from_packed(
         merged_ptr, merged_idx, root_groups, graph.num_nodes, graph.num_groups

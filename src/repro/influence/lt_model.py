@@ -25,9 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.influence.ris import RRCollection
-from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import check_positive_int
+from repro.influence.ic_model import simulated_group_spread
+from repro.influence.ris import RRCollection, rr_collection_from_walks
+from repro.utils.rng import SeedLike
 
 
 class LTModel:
@@ -159,16 +159,9 @@ class LTModel:
         seed: SeedLike = None,
     ) -> np.ndarray:
         """Per-group average activation probabilities under LT."""
-        check_positive_int(num_simulations, "num_simulations")
-        rng = as_generator(seed)
-        labels = self.graph.groups
-        c = self.graph.num_groups
-        sizes = self.graph.group_sizes().astype(float)
-        totals = np.zeros(c, dtype=float)
-        for _ in range(num_simulations):
-            active = self.simulate(seeds, rng)
-            totals += np.bincount(labels[active], minlength=c)
-        return totals / (sizes * num_simulations)
+        return simulated_group_spread(
+            self.graph, self.simulate, seeds, num_simulations, seed=seed
+        )
 
     def sample_rr_set(
         self, root: int, rng: np.random.Generator
@@ -214,35 +207,7 @@ class LTModel:
         stratified: bool = True,
     ) -> RRCollection:
         """An :class:`RRCollection` of LT RR sets (drop-in for the IC one)."""
-        check_positive_int(num_samples, "num_samples")
-        rng = as_generator(seed)
-        labels = self.graph.groups
-        c = self.graph.num_groups
-        sets: list[np.ndarray] = []
-        root_groups: list[int] = []
-        if stratified:
-            members = [np.flatnonzero(labels == i) for i in range(c)]
-            base, rem = divmod(num_samples, c)
-            for i in range(c):
-                quota = max(base + (1 if i < rem else 0), 1)
-                roots = members[i][rng.integers(0, members[i].size, size=quota)]
-                for r in roots:
-                    sets.append(self.sample_rr_set(int(r), rng))
-                    root_groups.append(i)
-        else:
-            roots = rng.integers(0, self.graph.num_nodes, size=num_samples)
-            for r in roots:
-                sets.append(self.sample_rr_set(int(r), rng))
-                root_groups.append(int(labels[r]))
-            present = np.bincount(np.asarray(root_groups), minlength=c)
-            for i in np.flatnonzero(present == 0):
-                members = np.flatnonzero(labels == i)
-                r = int(members[rng.integers(0, members.size)])
-                sets.append(self.sample_rr_set(r, rng))
-                root_groups.append(int(i))
-        return RRCollection(
-            sets=sets,
-            root_groups=np.asarray(root_groups, dtype=np.int64),
-            num_nodes=self.graph.num_nodes,
-            num_groups=c,
+        return rr_collection_from_walks(
+            self.graph, num_samples, self.sample_rr_set,
+            seed=seed, stratified=stratified,
         )

@@ -19,20 +19,16 @@ objective layer's inverted index are single NumPy passes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import GroupPartitionError, StorageError
 from repro.graphs.graph import Graph, GraphDelta
-from repro.influence.engine import (
-    sample_rr_sets_batch,
-    sample_rr_sets_packed_units,
-    sample_rr_sets_stream,
-)
+from repro.influence.engine import sample_rr_sets_batch, sample_rr_sets_stream
 from repro.storage.backend import ArrayBackend, resolve_backend
 from repro.storage.segments import DEFAULT_SEGMENT_BYTES, SegmentedRRStore
-from repro.utils.csr import build_csr, splice_packed
+from repro.utils.csr import build_csr, concat_packed, splice_packed
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive_int
 
@@ -258,10 +254,11 @@ def sample_rr_set(
     ``transpose_adjacency`` is the CSR triple of the *transpose* graph, so
     walking its out-arcs follows original arcs backwards. ``scratch`` is an
     optional reusable visited buffer (cleared on entry) to avoid an O(n)
-    allocation per sample. Collections should be sampled through
-    :func:`repro.influence.engine.sample_rr_sets_batch` instead — this
-    scalar path remains as the per-sample reference (benchmarked against
-    the engine in ``benchmarks/bench_rr_engine.py``).
+    allocation per sample. Collections are sampled through
+    :func:`repro.influence.engine.sample_rr_sets_stream` (the one
+    batched sampler; :func:`sample_rr_collection`, IMM and repair all
+    call it) — this scalar path remains as the per-sample reference
+    (benchmarked against the engine in ``benchmarks/bench_rr_engine.py``).
     """
     indptr, indices, probs = transpose_adjacency
     n = indptr.size - 1
@@ -291,6 +288,40 @@ def sample_rr_set(
     return np.asarray(out, dtype=np.int64)
 
 
+def missing_group_roots(
+    graph: Graph, root_groups: np.ndarray, rng: np.random.Generator
+) -> Iterator[int]:
+    """One uniform root from every group absent from ``root_groups``.
+
+    Collections need every group present, so each unstratified root law
+    (:func:`_draw_roots`, IMM's final pool, the scalar walks of
+    :func:`rr_collection_from_walks`) tops up with these, in group
+    order. Roots are drawn lazily, one per ``next()``, so a caller may
+    interleave other draws between them.
+    """
+    present = np.bincount(root_groups, minlength=graph.num_groups)
+    for i in np.flatnonzero(present == 0):
+        members = graph.group_members(i)
+        yield int(members[rng.integers(0, members.size)])
+
+
+def _stratified_roots(
+    graph: Graph, num_samples: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """Per-group root draws in group order, one group per ``next()``.
+
+    The budget is split evenly over groups (the first ``num_samples %
+    c`` groups get one more) after clamping it up to
+    ``max(num_samples, c)``, so every group gets at least one root.
+    """
+    c = graph.num_groups
+    base, rem = divmod(max(num_samples, c), c)
+    for i in range(c):
+        members = graph.group_members(i)
+        quota = base + (1 if i < rem else 0)
+        yield members[rng.integers(0, members.size, size=quota)]
+
+
 def _draw_roots(
     graph: Graph,
     num_samples: int,
@@ -299,35 +330,20 @@ def _draw_roots(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw RR roots and their group labels (the shared root law).
 
-    Factored out of :func:`sample_rr_collection` so the flat and the
-    segmented paths consume *exactly* the same root draws — the first
+    All roots are drawn before any set is sampled, so the flat and the
+    segmented stores consume *exactly* the same root draws — the first
     precondition of their bitwise-identity contract.
     """
     labels = graph.groups
-    c = graph.num_groups
     if stratified:
-        total = max(num_samples, c)
-        base, rem = divmod(total, c)
-        root_parts: list[np.ndarray] = []
-        group_parts: list[np.ndarray] = []
-        for i in range(c):
-            quota = base + (1 if i < rem else 0)
-            members = np.flatnonzero(labels == i)
-            root_parts.append(members[rng.integers(0, members.size, size=quota)])
-            group_parts.append(np.full(quota, i, dtype=np.int64))
-        return np.concatenate(root_parts), np.concatenate(group_parts)
-    roots = rng.integers(0, graph.num_nodes, size=num_samples)
-    root_groups = labels[roots]
-    # Guarantee at least one RR set per group (collections require it).
-    present = np.bincount(root_groups, minlength=c)
-    extra_roots = [
-        graph.group_members(i)[rng.integers(0, graph.group_sizes()[i])]
-        for i in np.flatnonzero(present == 0)
-    ]
-    if extra_roots:
-        roots = np.concatenate([roots, np.asarray(extra_roots)])
-        root_groups = labels[roots]
-    return roots, root_groups
+        roots = np.concatenate(list(_stratified_roots(graph, num_samples, rng)))
+    else:
+        roots = rng.integers(0, graph.num_nodes, size=num_samples)
+        extra = np.fromiter(
+            missing_group_roots(graph, labels[roots], rng), dtype=np.int64
+        )
+        roots = np.concatenate([roots, extra])
+    return roots, labels[roots]
 
 
 def sample_rr_collection(
@@ -396,52 +412,76 @@ def sample_rr_collection(
         )
     rng = as_generator(seed)
     c = graph.num_groups
-    transpose = graph.transpose_adjacency()
     roots, root_groups = _draw_roots(graph, num_samples, rng, stratified)
-    if store == "ram" and backend is None:
-        set_indptr, set_indices = sample_rr_sets_batch(
-            transpose,
-            roots,
-            rng,
-            workers=workers,
-            exec_backend=exec_backend,
-            kernel=kernel,
-        )
+    flat = store == "ram" and backend is None
+    chunks = sample_rr_sets_stream(
+        graph.transpose_adjacency(),
+        roots,
+        rng,
+        chunk_instances=None if flat else SEGMENT_CHUNK_INSTANCES,
+        workers=workers,
+        exec_backend=exec_backend,
+        kernel=kernel,
+    )
+    if flat:
+        set_indptr, set_indices = concat_packed(list(chunks))
         return RRCollection.from_packed(
             set_indptr, set_indices, root_groups, graph.num_nodes, c
         )
-    if backend is None:
-        backend = resolve_backend(store)
     seg_store = SegmentedRRStore(
         graph.num_nodes,
-        backend,
+        backend if backend is not None else resolve_backend(store),
         segment_bytes=segment_bytes_for(memory_budget),
     )
-    if workers is not None:
-        # The flat workers law, streamed: same units, same spawned seed
-        # streams, packed pairs appended in unit order through a bounded
-        # in-flight window — stored sets are bitwise the flat path's.
-        chunks = sample_rr_sets_packed_units(
-            transpose,
-            roots,
-            rng,
-            workers=workers,
-            exec_backend=exec_backend,
-            kernel=kernel,
-        )
-    else:
-        chunks = sample_rr_sets_stream(
-            transpose,
-            roots,
-            rng,
-            chunk_instances=SEGMENT_CHUNK_INSTANCES,
-            kernel=kernel,
-        )
     for chunk_indptr, chunk_indices in chunks:
         seg_store.append_chunk(chunk_indptr, chunk_indices)
     seg_store.finalize()
     return SegmentedRRCollection(
         seg_store, root_groups, graph.num_nodes, c
+    )
+
+
+def rr_collection_from_walks(
+    graph: Graph,
+    num_samples: int,
+    sample_rr_set: Callable[[int, np.random.Generator], np.ndarray],
+    *,
+    seed: SeedLike = None,
+    stratified: bool = True,
+) -> RRCollection:
+    """An :class:`RRCollection` of RR sets drawn one scalar walk at a time.
+
+    The collection loop of the diffusion models without a batched
+    sampler (:class:`~repro.influence.lt_model.LTModel`,
+    :class:`~repro.influence.triggering.TriggeringModel`):
+    ``sample_rr_set(root, rng)`` draws one RR set. Roots follow
+    :func:`sample_rr_collection`'s law — per-group quotas, or uniform
+    roots topped up by :func:`missing_group_roots` — but each group's
+    (or each extra) root draw is followed by its walks on the same
+    ``rng`` before the next draw.
+    """
+    check_positive_int(num_samples, "num_samples")
+    rng = as_generator(seed)
+    sets: list[np.ndarray] = []
+    if stratified:
+        root_parts = []
+        for roots in _stratified_roots(graph, num_samples, rng):
+            sets.extend(sample_rr_set(int(r), rng) for r in roots)
+            root_parts.append(roots)
+        roots = np.concatenate(root_parts)
+    else:
+        roots = rng.integers(0, graph.num_nodes, size=num_samples)
+        sets.extend(sample_rr_set(int(r), rng) for r in roots)
+        extra = []
+        for r in missing_group_roots(graph, graph.groups[roots], rng):
+            sets.append(sample_rr_set(r, rng))
+            extra.append(r)
+        roots = np.concatenate([roots, np.asarray(extra, dtype=np.int64)])
+    return RRCollection(
+        sets=sets,
+        root_groups=graph.groups[roots],
+        num_nodes=graph.num_nodes,
+        num_groups=graph.num_groups,
     )
 
 
@@ -546,32 +586,26 @@ def repair_rr_collection(
     total = collection.num_sets
     if affected.size == 0:
         return RepairResult(affected, total)
-    rng = as_generator(seed)
-    if isinstance(collection, SegmentedRRCollection):
-        # Same root order and draw law as the flat splice (affected ids
-        # ascending, one batched resample), then rewrite only the owning
-        # segments — replacement contents are bitwise those of the flat
-        # path.
-        roots = collection.store.roots_of(affected)
-        sub_indptr, sub_indices = sample_rr_sets_batch(
-            graph.transpose_adjacency(),
-            roots,
-            rng,
-            workers=workers,
-            exec_backend=exec_backend,
-            kernel=kernel,
-        )
-        collection.store.replace_sets(affected, sub_indptr, sub_indices)
-        return RepairResult(affected, total)
-    roots = collection.set_indices[collection.set_indptr[affected]]
+    segmented = isinstance(collection, SegmentedRRCollection)
+    # Affected ids ascending, one batched resample from the original
+    # roots: the segmented store's replacements are bitwise the flat
+    # splice's, and only the owning segments are rewritten.
+    roots = (
+        collection.store.roots_of(affected)
+        if segmented
+        else collection.set_indices[collection.set_indptr[affected]]
+    )
     sub_indptr, sub_indices = sample_rr_sets_batch(
         graph.transpose_adjacency(),
         roots,
-        rng,
+        as_generator(seed),
         workers=workers,
         exec_backend=exec_backend,
         kernel=kernel,
     )
+    if segmented:
+        collection.store.replace_sets(affected, sub_indptr, sub_indices)
+        return RepairResult(affected, total)
     collection.set_indptr, collection.set_indices = splice_packed(
         collection.set_indptr,
         collection.set_indices,

@@ -33,8 +33,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.influence.ris import RRCollection
-from repro.utils.rng import SeedLike, as_generator
+from repro.influence.ic_model import simulated_group_spread
+from repro.influence.ris import RRCollection, rr_collection_from_walks
+from repro.utils.rng import SeedLike
 from repro.utils.validation import check_positive_int
 
 #: ``(in_neighbors, in_probs, rng) -> selected in-neighbours`` for one node.
@@ -188,16 +189,9 @@ class TriggeringModel:
         seed: SeedLike = None,
     ) -> np.ndarray:
         """Per-group average activation probabilities."""
-        check_positive_int(num_simulations, "num_simulations")
-        rng = as_generator(seed)
-        labels = self.graph.groups
-        c = self.graph.num_groups
-        sizes = self.graph.group_sizes().astype(float)
-        totals = np.zeros(c, dtype=float)
-        for _ in range(num_simulations):
-            active = self.simulate(seeds, rng)
-            totals += np.bincount(labels[active], minlength=c)
-        return totals / (sizes * num_simulations)
+        return simulated_group_spread(
+            self.graph, self.simulate, seeds, num_simulations, seed=seed
+        )
 
     # -- reverse sampling ---------------------------------------------------
     def sample_rr_set(
@@ -238,31 +232,7 @@ class TriggeringModel:
         stratified: bool = True,
     ) -> RRCollection:
         """An :class:`RRCollection` drop-in compatible with the IC/LT ones."""
-        check_positive_int(num_samples, "num_samples")
-        rng = as_generator(seed)
-        labels = self.graph.groups
-        c = self.graph.num_groups
-        sets: list[np.ndarray] = []
-        root_groups: list[int] = []
-        if stratified:
-            members = [np.flatnonzero(labels == i) for i in range(c)]
-            base, rem = divmod(num_samples, c)
-            for i in range(c):
-                quota = max(base + (1 if i < rem else 0), 1)
-                roots = members[i][
-                    rng.integers(0, members[i].size, size=quota)
-                ]
-                for r in roots:
-                    sets.append(self.sample_rr_set(int(r), rng))
-                    root_groups.append(i)
-        else:
-            roots = rng.integers(0, self.graph.num_nodes, size=num_samples)
-            for r in roots:
-                sets.append(self.sample_rr_set(int(r), rng))
-                root_groups.append(int(labels[int(r)]))
-        return RRCollection(
-            sets=sets,
-            root_groups=np.asarray(root_groups, dtype=np.int64),
-            num_nodes=self.graph.num_nodes,
-            num_groups=c,
+        return rr_collection_from_walks(
+            self.graph, num_samples, self.sample_rr_set,
+            seed=seed, stratified=stratified,
         )

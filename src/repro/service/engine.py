@@ -105,7 +105,6 @@ class ServiceEngine:
         def build() -> SolverSession:
             return SolverSession(
                 load_dataset(dataset_name, seed=seed),
-                workers=self.workers,
                 exec_backend=self.exec_backend,
                 store=store,
                 memory_budget=budget,
@@ -174,7 +173,7 @@ class ServiceEngine:
             if request.op == "solve" and request.algorithm in COALESCABLE:
                 key = (
                     request.algorithm, request.dataset, request.seed,
-                    request.im_samples, request.workers,
+                    request.im_samples, self._workers(request),
                     request.mc_simulations,
                     request.store, request.memory_budget,
                 )
@@ -237,6 +236,15 @@ class ServiceEngine:
         )
         return session, self._sessions.stats.hits > hits_before
 
+    def _workers(self, request: ServiceRequest) -> Optional[int]:
+        """The request's worker width, defaulting to the engine's.
+
+        Resolved once per request and passed to every sampling call, so
+        one engine draws one collection per dataset configuration, not
+        one per op.
+        """
+        return request.workers if request.workers is not None else self.workers
+
     class _WarmProbe:
         """Measure whether an op actually reused paid-for state.
 
@@ -286,12 +294,13 @@ class ServiceEngine:
 
     def _op_solve(self, request: ServiceRequest) -> Response:
         session, reused = self._session_for(request)
+        workers = self._workers(request)
         probe = self._WarmProbe(session, reused, session.objective_cache)
         result = session.solve(
             request.algorithm, request.k, request.tau,
             im_samples=request.im_samples,
             sample_seed=request.seed,
-            workers=request.workers,
+            workers=workers,
         )
         payload = self._result_payload(result)
         if (
@@ -302,7 +311,7 @@ class ServiceEngine:
                 result.solution,
                 mc_simulations=request.mc_simulations,
                 mc_seed=request.seed,
-                workers=request.workers,
+                workers=workers,
             )
             payload["mc_utility"] = f_val
             payload["mc_fairness"] = g_val
@@ -322,7 +331,7 @@ class ServiceEngine:
             im_samples=request.im_samples,
             sample_seed=request.seed,
             mc_simulations=request.mc_simulations,
-            workers=request.workers,
+            workers=self._workers(request),
         )
         return Response(
             op="evaluate", id=request.id, warm=probe.warm,
@@ -347,6 +356,8 @@ class ServiceEngine:
             request.k,
             im_samples=request.im_samples,
             sample_seed=request.seed,
+            # ``update`` carries no width of its own: the engine's.
+            workers=self.workers,
         )
         warm = reused and session.dynamic_cache.stats.hits > hits_before
         # `repaired` reports whether this update landed on warm sampled
@@ -385,7 +396,7 @@ class ServiceEngine:
             "im_samples": request.im_samples,
             "mc_simulations": request.mc_simulations,
             "seed": request.seed,
-            "workers": request.workers,
+            "workers": self._workers(request),
         }
         if request.algorithms:
             kwargs["algorithms"] = list(request.algorithms)
@@ -443,7 +454,7 @@ class ServiceEngine:
             im_samples=request.im_samples,
             mc_simulations=request.mc_simulations,
             seed=request.seed,
-            workers=request.workers,
+            workers=self._workers(request),
         )
         frontiers: dict[str, Any] = {}
         for algorithm in algorithms:
@@ -479,9 +490,10 @@ class ServiceEngine:
         head = requests[0]
         session, reused = self._session_for(head)
         probe = self._WarmProbe(session, reused, session.objective_cache)
+        workers = self._workers(head)
         objective = session.objective(
             im_samples=head.im_samples, sample_seed=head.seed,
-            workers=head.workers,
+            workers=workers,
         )
         # Validate each member through BSMProblem: an over-budget member
         # fails alone, exactly as its sequential solve would, without
@@ -527,7 +539,7 @@ class ServiceEngine:
                     result.solution,
                     mc_simulations=request.mc_simulations,
                     mc_seed=request.seed,
-                    workers=request.workers,
+                    workers=workers,
                 )
                 payload["mc_utility"] = f_val
                 payload["mc_fairness"] = g_val

@@ -69,9 +69,6 @@ class SolverSession:
     ----------
     dataset:
         The loaded workload (see :mod:`repro.datasets.registry`).
-    workers:
-        Default worker-pool width for sampling/evaluation calls that do
-        not override it (``None`` = legacy serial stream).
     exec_backend:
         Pool flavour for parallel sampling/evaluation —
         ``"thread"`` (default), ``"process"`` or ``"serial"``. All
@@ -87,13 +84,16 @@ class SolverSession:
         size; ``None`` = default segments).
     objective_budget, eval_budget:
         Byte budgets of the objective and evaluation caches.
+
+    The worker width is not session state: every sampling or evaluation
+    call takes ``workers`` (``None`` = the serial in-line stream), so
+    the caller picks one draw law per request.
     """
 
     def __init__(
         self,
         dataset: Dataset,
         *,
-        workers: Optional[int] = None,
         exec_backend: Optional[str] = None,
         store: str = "ram",
         memory_budget: Optional[int] = None,
@@ -103,7 +103,6 @@ class SolverSession:
         if store not in ("ram", "mmap"):
             raise ValueError(f"store must be 'ram' or 'mmap', got {store!r}")
         self.dataset = dataset
-        self.workers = workers
         self.exec_backend = exec_backend
         self.store = store
         self.memory_budget = memory_budget
@@ -153,7 +152,7 @@ class SolverSession:
         *,
         im_samples: int = 2_000,
         sample_seed: int = 0,
-        workers: Optional[int] = ...,  # type: ignore[assignment]
+        workers: Optional[int] = None,
     ) -> GroupedObjective:
         """The solvable objective, materialised at most once per config.
 
@@ -174,8 +173,6 @@ class SolverSession:
             return dataset.objective
         if dataset.kind != "influence":
             raise ValueError(f"unknown dataset kind {dataset.kind!r}")
-        if workers is ...:
-            workers = self.workers
         from repro.problems.influence import InfluenceObjective
 
         key = self._objective_key(im_samples, sample_seed, workers)
@@ -203,7 +200,7 @@ class SolverSession:
         *,
         mc_simulations: int,
         mc_seed: int,
-        workers: Optional[int] = ...,  # type: ignore[assignment]
+        workers: Optional[int] = None,
     ) -> tuple[float, float]:
         """Monte-Carlo ``(f, g)`` of a seed set, one cascade bundle per
         distinct ``(solution, budget, seed)``.
@@ -216,8 +213,6 @@ class SolverSession:
         self.requests += 1
         if self.dataset.kind != "influence":
             raise ValueError("evaluate_mc only applies to influence datasets")
-        if workers is ...:
-            workers = self.workers
         dataset = self.dataset
         key = self._graph_key() + (
             tuple(sorted(solution)), int(mc_simulations), int(mc_seed),
@@ -246,7 +241,7 @@ class SolverSession:
         im_samples: int = 2_000,
         sample_seed: int = 0,
         mc_simulations: int = 0,
-        workers: Optional[int] = ...,  # type: ignore[assignment]
+        workers: Optional[int] = None,
     ) -> tuple[float, float]:
         """``(f, g)`` of an arbitrary solution on the warm objective.
 
@@ -275,7 +270,7 @@ class SolverSession:
         *,
         im_samples: int = 2_000,
         sample_seed: int = 0,
-        workers: Optional[int] = ...,  # type: ignore[assignment]
+        workers: Optional[int] = None,
         **solver_kwargs: Any,
     ) -> SolverResult:
         """One solver run on the warm objective (via the solver registry)."""
@@ -292,6 +287,7 @@ class SolverSession:
         im_samples: int = 2_000,
         sample_seed: int = 0,
         rebuild_factor: float = 0.5,
+        workers: Optional[int] = None,
     ) -> DynamicMaximizer:
         """The live dynamic maximizer for one update configuration.
 
@@ -308,11 +304,12 @@ class SolverSession:
         """
         graph = self.dataset.graph
         key = (int(k), int(im_samples), int(sample_seed),
-               float(rebuild_factor))
+               float(rebuild_factor), _decomposition_law(workers))
 
         def build() -> DynamicMaximizer:
             objective = self.objective(
-                im_samples=im_samples, sample_seed=sample_seed
+                im_samples=im_samples, sample_seed=sample_seed,
+                workers=workers,
             )
             return DynamicMaximizer(
                 objective, k, rebuild_factor=rebuild_factor
@@ -331,9 +328,7 @@ class SolverSession:
                 if result is not None:
                     self._record_repair(result)
                     self._objectives.reaccount(
-                        self._objective_key(
-                            im_samples, sample_seed, self.workers
-                        )
+                        self._objective_key(im_samples, sample_seed, workers)
                     )
         return maximizer
 
@@ -495,7 +490,7 @@ def shared_session(
     The sweep harness goes through here, so repeated sweeps against the
     same loaded dataset share warm state.
     """
-    return SolverSession(dataset, workers=workers)
+    return SolverSession(dataset)
 
 
 def reset_shared_sessions() -> None:

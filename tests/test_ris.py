@@ -140,3 +140,44 @@ class TestSampleRRCollection:
     def test_num_samples_validated(self):
         with pytest.raises(ValueError):
             sample_rr_collection(_path_graph(), 0)
+
+
+class TestWalkCollections:
+    """LT and triggering collections share one root law."""
+
+    @staticmethod
+    def _tail_group_path() -> Graph:
+        # A 50-node directed path whose last node alone forms group 1:
+        # five uniform roots almost never land there.
+        return Graph(
+            50,
+            [(i, i + 1, 0.5) for i in range(49)],
+            directed=True,
+            groups=[0] * 49 + [1],
+        )
+
+    def test_unstratified_triggering_tops_up_missing_group(self):
+        from repro.influence.triggering import TriggeringModel
+
+        coll = TriggeringModel(self._tail_group_path()).sample_rr_collection(
+            5, seed=0, stratified=False
+        )
+        assert coll.group_counts.tolist() == [5, 1]
+
+    def test_lt_and_triggering_share_the_root_law(self):
+        from repro.influence.lt_model import LTModel
+        from repro.influence.triggering import TriggeringModel, lt_trigger_sampler
+
+        # Probability weighting on a path gives every node one in-arc of
+        # strength 0.5, which is exactly the LT trigger sampler's law.
+        g = self._tail_group_path()
+        for stratified in (True, False):
+            lt = LTModel(g, weighting="probability").sample_rr_collection(
+                5, seed=0, stratified=stratified
+            )
+            trig = TriggeringModel(g, lt_trigger_sampler()).sample_rr_collection(
+                5, seed=0, stratified=stratified
+            )
+            np.testing.assert_array_equal(lt.set_indptr, trig.set_indptr)
+            np.testing.assert_array_equal(lt.set_indices, trig.set_indices)
+            np.testing.assert_array_equal(lt.root_groups, trig.root_groups)

@@ -21,6 +21,8 @@ from repro.service.daemon import serve_forever
 from repro.service.engine import ServiceEngine
 from repro.service.protocol import (
     Request,
+    SolveRequest,
+    UpdateRequest,
     decode_response,
     encode_response,
 )
@@ -687,6 +689,24 @@ class TestEngineOps:
                                   algorithm="greedy"))
         assert engine.stats()["session_registry"]["entries"] == 2
         assert engine.stats()["session_registry"]["evictions"] == 1
+
+    def test_engine_workers_give_one_draw_law_per_dataset(self):
+        # A solve and an update that leave ``workers`` unset both run at
+        # the engine's width, so they share one sampled collection.
+        engine = ServiceEngine(workers=2)
+        solve = engine.handle(SolveRequest(
+            dataset="rand-im-c2", k=3, algorithm="greedy",
+            im_samples=IM_SAMPLES,
+        ))
+        update = engine.handle(UpdateRequest(
+            dataset="rand-im-c2", k=3,
+            events=(("insert", 0),), im_samples=IM_SAMPLES,
+        ))
+        assert solve.ok and update.ok
+        session = engine.session("rand-im-c2", 0)
+        keys = list(session.objective_cache.keys())
+        assert len(keys) == 1
+        assert keys[0][4] == "units"
 
 
 # ---------------------------------------------------------------------------
