@@ -44,7 +44,11 @@ from repro.core.distributed import greedi
 from repro.graphs.generators import stochastic_block_model
 from repro.influence.engine import sample_rr_sets_batch
 from repro.influence.ic_model import simulate_cascades_batch
-from repro.kernels import available_kernels, default_kernel_name
+from repro.kernels import (
+    available_kernels,
+    default_kernel_name,
+    set_default_kernel,
+)
 from repro.problems.influence import InfluenceObjective
 from repro.utils.parallel import (
     WorkerContext,
@@ -52,6 +56,7 @@ from repro.utils.parallel import (
     fork_available,
     parallel_map,
     resolve_backend,
+    set_default_backend,
     shutdown_pools,
 )
 
@@ -108,15 +113,21 @@ def _timed(fn, *args, **kwargs):
     return out, time.perf_counter() - start
 
 
-def _sample(transpose, roots, *, workers, exec_backend=None, kernel=None):
-    return sample_rr_sets_batch(
-        transpose,
-        roots,
-        np.random.default_rng(SEED + 1),
-        workers=workers,
-        exec_backend=exec_backend,
-        kernel=kernel,
-    )
+def _sample(transpose, roots, *, workers, backend=None, kernel=None):
+    """One timed-workload draw under the given process pins.
+
+    The kernel set and the pool backend are process settings; the pins
+    are restored to auto-resolution afterwards.
+    """
+    set_default_backend(backend)
+    set_default_kernel(kernel)
+    try:
+        return sample_rr_sets_batch(
+            transpose, roots, np.random.default_rng(SEED + 1), workers=workers
+        )
+    finally:
+        set_default_backend(None)
+        set_default_kernel(None)
 
 
 def _kernel_serial(transpose, roots) -> dict:
@@ -157,21 +168,21 @@ def _kernel_serial(transpose, roots) -> dict:
 def _backend_matrix(transpose, roots) -> list[dict]:
     """Bitwise identity of every (backend, kernel, workers) combination."""
     reference = _sample(
-        transpose, roots, workers=1, exec_backend="serial", kernel="baseline"
+        transpose, roots, workers=1, backend="serial", kernel="baseline"
     )
     backends = ["serial", "thread"] + (["process"] if fork_available() else [])
     kernels = [k for k in available_kernels()]
     rows = []
-    for exec_backend in backends:
+    for backend in backends:
         for kernel in kernels:
             for workers in (1, WORKERS):
                 pack, wall = _timed(
                     _sample, transpose, roots,
-                    workers=workers, exec_backend=exec_backend, kernel=kernel,
+                    workers=workers, backend=backend, kernel=kernel,
                 )
                 rows.append(
                     {
-                        "backend": exec_backend,
+                        "backend": backend,
                         "kernel": kernel,
                         "workers": workers,
                         "wall_time_s": wall,

@@ -36,6 +36,7 @@ from repro.core.problem import BSMProblem
 from repro.datasets.registry import DATASETS, load_dataset
 from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.reporting import render_series
+from repro.utils.parallel import set_default_backend
 
 
 def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
@@ -294,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    set_default_backend(args.backend)
     data = load_dataset(args.dataset, seed=args.seed)
     if data.kind == "influence":
         from repro.problems.influence import InfluenceObjective
@@ -303,7 +305,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         objective = InfluenceObjective.from_graph(
             data.graph, args.im_samples, seed=args.seed,
             workers=args.workers,
-            exec_backend=getattr(args, "backend", None),
             store=store, memory_budget=budget,
         )
     else:

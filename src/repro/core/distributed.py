@@ -15,8 +15,8 @@ adversarial-partition worst case and near-greedy in practice with random
 partitions. Shard solves run as genuinely independent workers when
 ``workers > 1``: each machine's greedy executes against its own copy of
 the objective on the persistent worker pool
-(:func:`repro.utils.parallel.parallel_map`; ``exec_backend`` picks
-thread/process/serial), falling back to an in-process loop whenever
+(:func:`repro.utils.parallel.parallel_map`; the process-wide backend
+pin picks thread/process/serial), falling back to an in-process loop whenever
 :func:`repro.utils.parallel.pool_width` resolves to 1. Shard greedy is
 deterministic, so serial and parallel execution return bitwise-identical
 solutions, and oracle-call counts faithfully reflect per-machine work
@@ -104,7 +104,6 @@ def greedi(
     seed: SeedLike = None,
     lazy: bool = True,
     workers: Optional[int] = None,
-    exec_backend: Optional[str] = None,
 ) -> SolverResult:
     """Run the two-round GreeDi scheme on a grouped objective.
 
@@ -122,11 +121,8 @@ def greedi(
         Pool workers to spread the shard solves over (capped at the
         shard count). ``None``/``0``/``1`` solve shards in-process;
         solutions are bitwise-identical either way because shard greedy
-        is deterministic.
-    exec_backend:
-        Pool flavour for the shard solves — ``"thread"`` (default),
-        ``"process"``, or ``"serial"``; see
-        :mod:`repro.utils.parallel`.
+        is deterministic. The pool flavour is the process pin
+        (:func:`repro.utils.parallel.set_default_backend`).
 
     Returns
     -------
@@ -151,7 +147,7 @@ def greedi(
     # fold-back below must know whether the shards ran on copies (pool)
     # or on this very objective (in-process loop, which advances the
     # counters itself).
-    workers_used = pool_width(workers, len(parts), backend=exec_backend)
+    workers_used = pool_width(workers, len(parts))
     timer = Timer()
     start_calls = objective.oracle_calls
     with timer:
@@ -166,7 +162,6 @@ def greedi(
             parts,
             workers=workers_used,
             payload=(objective, scal, k, lazy),
-            backend=exec_backend,
         )
         machine_states: list[ObjectiveState] = []
         machine_calls: list[int] = []
@@ -223,7 +218,6 @@ def distributed_tsgreedy_stage2(
     num_machines: int = 4,
     seed: SeedLike = None,
     workers: Optional[int] = None,
-    exec_backend: Optional[str] = None,
 ) -> ObjectiveState:
     """Fill a partial BSM-TSGreedy solution using GreeDi item order.
 
@@ -243,7 +237,6 @@ def distributed_tsgreedy_stage2(
         num_machines=num_machines,
         seed=seed,
         workers=workers,
-        exec_backend=exec_backend,
     )
     state = objective.copy_state(stage1_state)
     for item in flat.solution:

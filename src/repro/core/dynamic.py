@@ -178,7 +178,7 @@ class DynamicMaximizer:
             != self._objective_epoch
         )
 
-    def refresh(self, graph=None, *, workers=None):
+    def refresh(self, graph=None):
         """Repair the backing objective, then rebuild if anything moved.
 
         The repair-then-rebuild path for dynamic graphs: the influence
@@ -189,13 +189,12 @@ class DynamicMaximizer:
         amortized O(affected sets) + one threshold pass. Objectives
         without a ``refresh`` hook (static kinds) are a no-op. Returns
         the objective's repair result, or ``None`` for static objectives.
-        ``workers=None`` defers to the objective's bound sampling law.
+        The repair runs under the objective's own sampling law.
         """
         repair = getattr(self._objective, "refresh", None)
         result = None
         if repair is not None:
-            kwargs = {} if workers is None else {"workers": workers}
-            result = repair(graph, **kwargs)
+            result = repair(graph)
         if self.stale:
             # The sampled universe changed shape-compatibly (repair) or
             # entirely (full resample); refresh the persistent empty

@@ -177,7 +177,9 @@ class GroupedObjective(abc.ABC):
 
         Returns an array of shape ``(len(items), num_groups)`` whose row
         ``r`` equals ``self.gains(state, items[r])`` (items already in the
-        solution get zero rows). One call scores the entire pool, so dense
+        solution get zero rows) — bitwise on every backend except
+        facility location, whose one-hot matmul matches to the last ulp
+        (``GAIN_EPS`` absorbs it). One call scores the entire pool, so dense
         backends can amortise the evaluation into a single vectorized
         pass; ``oracle_calls`` still advances by ``len(items)`` to keep
         per-item/batch comparisons apples-to-apples.
@@ -204,7 +206,8 @@ class GroupedObjective(abc.ABC):
 
         Returns an array of shape ``(len(states), num_groups)`` whose row
         ``r`` equals ``self.gains(states[r], item)`` (states that already
-        contain the item get zero rows). One call scores the arrival
+        contain the item get zero rows) — bitwise except on facility
+        location, as in :meth:`gains_batch`. One call scores the arrival
         against every live solution state — the per-arrival hot path of
         the sieve/sliding-window/dynamic solvers — so dense backends can
         amortise the evaluation into a single stacked pass.
@@ -285,7 +288,9 @@ class GroupedObjective(abc.ABC):
 
         Generic fallback loops :meth:`_gains`; dense backends override
         this with one vectorized pass. Must be pure (no payload mutation)
-        and produce exactly the rows :meth:`_gains` would.
+        and produce the rows :meth:`_gains` would: bitwise, except that
+        facility location's one-hot matmul reorders the group sums and
+        matches to the last ulp.
         """
         out = np.zeros((items.size, self.num_groups), dtype=float)
         for r, item in enumerate(items):
@@ -299,7 +304,8 @@ class GroupedObjective(abc.ABC):
 
         Generic fallback loops :meth:`_gains`; dense backends override
         this with one stacked vectorized pass. Must be pure (no payload
-        mutation) and produce exactly the rows :meth:`_gains` would.
+        mutation) and produce the rows :meth:`_gains` would, with the
+        same facility-location exception as :meth:`_gains_batch`.
         """
         out = np.zeros((len(payloads), self.num_groups), dtype=float)
         for r, payload in enumerate(payloads):

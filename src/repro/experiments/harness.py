@@ -123,7 +123,7 @@ def _objective_for(
     """
     from repro.service.session import shared_session
 
-    return shared_session(dataset, workers=workers).objective(
+    return shared_session(dataset).objective(
         im_samples=im_samples, sample_seed=seed, workers=workers
     )
 
@@ -150,7 +150,7 @@ def _score(
         return result.utility, result.fairness
     from repro.service.session import shared_session
 
-    return shared_session(dataset, workers=workers).evaluate_mc(
+    return shared_session(dataset).evaluate_mc(
         result.solution,
         mc_simulations=mc_simulations,
         mc_seed=seed,

@@ -32,9 +32,10 @@ packed ``(set_indptr, set_indices)`` chunks under one of two laws.
   count), each unit draws from its own ``SeedSequence.spawn`` child
   stream, and units run over a persistent worker pool
   (:func:`repro.utils.parallel.parallel_imap`), yielded in unit order.
-  ``exec_backend`` picks the pool flavour — ``"thread"`` (default)
-  shares the CSR triple zero-copy and releases the GIL inside the
-  kernels, ``"process"`` ships it through
+  The pool flavour is the process pin
+  (:func:`repro.utils.parallel.set_default_backend`): ``"thread"``
+  (default) shares the CSR triple zero-copy and releases the GIL inside
+  the kernels, ``"process"`` ships it through
   ``multiprocessing.shared_memory``, ``"serial"`` runs the units
   in-process. Because the decomposition and the streams depend only on
   the inputs, results are bitwise-identical for every worker count and
@@ -43,11 +44,14 @@ packed ``(set_indptr, set_indices)`` chunks under one of two laws.
 
 :func:`sample_rr_sets_batch` is that iterator concatenated into one
 packed pair; :func:`cascade_activation_counts` runs forward cascades
-through the same chunk kernel under the same two laws.
+through the same chunk kernel under the same two laws. ``workers`` is
+the only execution setting any of the three takes.
 
-The chunk BFS itself dispatches through :mod:`repro.kernels`: ``kernel``
-selects the implementation set (baseline / tightened numpy / compiled
-numba), all bitwise-equal by contract.
+The chunk BFS itself dispatches through :mod:`repro.kernels`: each call
+resolves the active implementation set (baseline / tightened numpy /
+compiled numba, all bitwise-equal by contract) once in the caller's
+process and ships its name to the pool units, so a process pool forked
+before a pin change still runs the caller's choice.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from repro.kernels import get_kernel
+from repro.kernels import Kernel, get_kernel
 from repro.utils.csr import concat_packed
 from repro.utils.parallel import (
     WorkerContext,
@@ -109,7 +113,7 @@ def _rr_chunk(
     adjacency: Adjacency,
     roots: np.ndarray,
     rng: np.random.Generator,
-    kernel: Optional[str],
+    impl: Kernel,
     sparse: bool = False,
 ) -> Packed:
     """Sample one chunk's RR sets (one per root) and pack them.
@@ -120,7 +124,6 @@ def _rr_chunk(
     :func:`repro.kernels.baseline.reachability_chunk_sparse` for the
     draw law). The pack puts each set's root first.
     """
-    impl = get_kernel(kernel)
     n = adjacency[0].size - 1
     start_keys = np.arange(roots.size, dtype=np.int64) * n + roots
     if sparse:
@@ -133,7 +136,9 @@ def _rr_chunk(
 def _rr_pack_unit(ctx: WorkerContext, task: tuple) -> Packed:
     """Worker: sample one unit's RR sets and CSR-pack them locally."""
     roots, seed = task
-    return _rr_chunk(ctx.arrays, roots, np.random.default_rng(seed), ctx.payload)
+    return _rr_chunk(
+        ctx.arrays, roots, np.random.default_rng(seed), get_kernel(ctx.payload)
+    )
 
 
 def _cascade_counts(
@@ -141,11 +146,11 @@ def _cascade_counts(
     seeds: np.ndarray,
     m: int,
     rng: np.random.Generator,
-    kernel: Optional[str],
+    impl: Kernel,
 ) -> np.ndarray:
     """Per-node activation counts of one chunk of ``m`` cascades."""
     n = adjacency[0].size - 1
-    keys = get_kernel(kernel).reachability_chunk(
+    keys = impl.reachability_chunk(
         adjacency,
         np.repeat(np.arange(m, dtype=np.int64), seeds.size) * n
         + np.tile(seeds, m),
@@ -159,7 +164,8 @@ def _cascade_count_unit(ctx: WorkerContext, task: tuple) -> np.ndarray:
     """Worker: per-node activation counts of one unit of cascades."""
     seeds, m, seed = task
     return _cascade_counts(
-        ctx.arrays, seeds, m, np.random.default_rng(seed), ctx.payload
+        ctx.arrays, seeds, m, np.random.default_rng(seed),
+        get_kernel(ctx.payload),
     )
 
 
@@ -171,8 +177,6 @@ def sample_rr_sets_stream(
     max_keys: int = MAX_FLAT_KEYS,
     chunk_instances: Optional[int] = None,
     workers: Optional[int] = None,
-    exec_backend: Optional[str] = None,
-    kernel: Optional[str] = None,
 ) -> Iterator[Packed]:
     """Yield packed ``(set_indptr, set_indices)`` chunks, one RR set per root.
 
@@ -189,7 +193,7 @@ def sample_rr_sets_stream(
     max_keys // n)``, which covers the bitwise-pinned small datasets);
     beyond that the sparse law is deterministic but its own. Any integer
     ``workers`` runs the unit decomposition instead (``chunk_instances``
-    does not apply): units sample and pack on the ``exec_backend`` pool
+    does not apply): units sample and pack on the pinned pool backend
     and are yielded in unit order with a bounded number in flight, so
     the result is bitwise-identical for every worker count. The caller
     that streams chunks into segments (the out-of-core tier) holds one
@@ -199,6 +203,7 @@ def sample_rr_sets_stream(
     roots = _check_roots(roots, n)
     if roots.size == 0:
         return
+    impl = get_kernel()
     if workers is not None:
         units = _instance_units(roots.size, n, max_keys)
         seeds = spawn_seed_sequences(rng, len(units))
@@ -207,15 +212,14 @@ def sample_rr_sets_stream(
             [(roots[lo:hi], seq) for (lo, hi), seq in zip(units, seeds)],
             workers=workers,
             shared=transpose_adjacency,
-            payload=kernel,
-            backend=exec_backend,
+            payload=impl.name,
         )
         return
     sparse = chunk_instances is not None
     chunk = max(int(chunk_instances), 1) if sparse else _chunk_size(n, max_keys)
     for lo in range(0, roots.size, chunk):
         yield _rr_chunk(
-            transpose_adjacency, roots[lo:lo + chunk], rng, kernel, sparse
+            transpose_adjacency, roots[lo:lo + chunk], rng, impl, sparse
         )
 
 
@@ -226,8 +230,6 @@ def sample_rr_sets_batch(
     *,
     max_keys: int = MAX_FLAT_KEYS,
     workers: Optional[int] = None,
-    exec_backend: Optional[str] = None,
-    kernel: Optional[str] = None,
 ) -> Packed:
     """Sample one RR set per root into one packed ``(set_indptr, set_indices)``.
 
@@ -241,8 +243,6 @@ def sample_rr_sets_batch(
                 rng,
                 max_keys=max_keys,
                 workers=workers,
-                exec_backend=exec_backend,
-                kernel=kernel,
             )
         )
     )
@@ -256,8 +256,6 @@ def cascade_activation_counts(
     *,
     max_keys: int = MAX_FLAT_KEYS,
     workers: Optional[int] = None,
-    exec_backend: Optional[str] = None,
-    kernel: Optional[str] = None,
 ) -> np.ndarray:
     """Per-node activation counts over ``num_cascades`` batched IC cascades.
 
@@ -274,6 +272,7 @@ def cascade_activation_counts(
     counts = np.zeros(n, dtype=np.int64)
     if seeds.size == 0 or num_cascades == 0:
         return counts
+    impl = get_kernel()
     if workers is not None:
         units = _instance_units(num_cascades, n, max_keys)
         seqs = spawn_seed_sequences(rng, len(units))
@@ -282,14 +281,13 @@ def cascade_activation_counts(
             [(seeds, hi - lo, seq) for (lo, hi), seq in zip(units, seqs)],
             workers=workers,
             shared=adjacency,
-            payload=kernel,
-            backend=exec_backend,
+            payload=impl.name,
         )
     else:
         chunk = _chunk_size(n, max_keys)
         parts = (
             _cascade_counts(
-                adjacency, seeds, min(chunk, num_cascades - lo), rng, kernel
+                adjacency, seeds, min(chunk, num_cascades - lo), rng, impl
             )
             for lo in range(0, num_cascades, chunk)
         )

@@ -83,8 +83,6 @@ def simulate_cascades_batch(
     rng: np.random.Generator,
     *,
     workers: Optional[int] = None,
-    exec_backend: Optional[str] = None,
-    kernel: Optional[str] = None,
 ) -> np.ndarray:
     """Run ``num_cascades`` IC cascades from ``seeds`` simultaneously.
 
@@ -93,8 +91,8 @@ def simulate_cascades_batch(
     Returns the per-node activation-count vector: entry ``v`` is the
     number of cascades in which ``v`` became active — the sufficient
     statistic for every Monte-Carlo spread estimate. ``workers`` selects
-    the pool path (bitwise invariant to worker count, ``exec_backend``
-    and ``kernel``; ``None`` keeps the in-line serial stream).
+    the pool path (bitwise invariant to worker count, pool backend and
+    kernel set; ``None`` keeps the in-line serial stream).
     """
     check_positive_int(num_cascades, "num_cascades")
     prepared = prepare_seeds(graph, seeds)
@@ -104,8 +102,6 @@ def simulate_cascades_batch(
         num_cascades,
         rng,
         workers=workers,
-        exec_backend=exec_backend,
-        kernel=kernel,
     )
 
 
@@ -116,8 +112,6 @@ def monte_carlo_group_spread(
     *,
     seed: SeedLike = None,
     workers: Optional[int] = None,
-    exec_backend: Optional[str] = None,
-    kernel: Optional[str] = None,
 ) -> np.ndarray:
     """Estimate ``(f_1(S), ..., f_c(S))`` — per-group average activation
     probabilities — by averaging ``num_simulations`` batched cascades."""
@@ -125,8 +119,7 @@ def monte_carlo_group_spread(
     rng = as_generator(seed)
     sizes = graph.group_sizes().astype(float)
     counts = simulate_cascades_batch(
-        graph, seeds, num_simulations, rng, workers=workers,
-        exec_backend=exec_backend, kernel=kernel,
+        graph, seeds, num_simulations, rng, workers=workers
     )
     totals = np.bincount(
         graph.groups, weights=counts, minlength=graph.num_groups
@@ -166,15 +159,12 @@ def monte_carlo_spread(
     *,
     seed: SeedLike = None,
     workers: Optional[int] = None,
-    exec_backend: Optional[str] = None,
-    kernel: Optional[str] = None,
 ) -> float:
     """Estimate the normalised spread ``f(S)`` (expected active fraction)."""
     check_positive_int(num_simulations, "num_simulations")
     rng = as_generator(seed)
     counts = simulate_cascades_batch(
-        graph, seeds, num_simulations, rng, workers=workers,
-        exec_backend=exec_backend, kernel=kernel,
+        graph, seeds, num_simulations, rng, workers=workers
     )
     return float(counts.sum()) / (num_simulations * graph.num_nodes)
 

@@ -111,8 +111,6 @@ def imm_rr_collection(
     max_samples: Optional[int] = 200_000,
     seed: SeedLike = None,
     workers: Optional[int] = None,
-    exec_backend: Optional[str] = None,
-    kernel: Optional[str] = None,
 ) -> IMMResult:
     """Run the IMM doubling phase and return a sized RR collection.
 
@@ -133,10 +131,6 @@ def imm_rr_collection(
     workers:
         Worker-pool width for every sampling call (doubling phase and
         final collection); see :mod:`repro.utils.parallel`.
-    exec_backend:
-        Pool flavour for the ``workers`` path (thread/process/serial).
-    kernel:
-        Hot-loop implementation set (see :mod:`repro.kernels`).
     """
     check_positive_int(k, "k")
     rng = as_generator(seed)
@@ -169,14 +163,7 @@ def imm_rr_collection(
         if theta_i > num_have:
             roots = rng.integers(0, n, size=theta_i - num_have)
             parts.append(
-                sample_rr_sets_batch(
-                    transpose,
-                    roots,
-                    rng,
-                    workers=workers,
-                    exec_backend=exec_backend,
-                    kernel=kernel,
-                )
+                sample_rr_sets_batch(transpose, roots, rng, workers=workers)
             )
             group_parts.append(labels[roots])
             num_have = theta_i
@@ -205,16 +192,12 @@ def imm_rr_collection(
             seed=rng,
             stratified=True,
             workers=workers,
-            exec_backend=exec_backend,
-            kernel=kernel,
         )
         reused = 0
     else:
         collection, reused = _final_unstratified(
             graph, packed, np.concatenate(group_parts), theta, transpose, rng,
             workers=workers,
-            exec_backend=exec_backend,
-            kernel=kernel,
         )
     return IMMResult(
         collection=collection,
@@ -234,8 +217,6 @@ def _final_unstratified(
     rng: np.random.Generator,
     *,
     workers: Optional[int] = None,
-    exec_backend: Optional[str] = None,
-    kernel: Optional[str] = None,
 ) -> tuple[RRCollection, int]:
     """Assemble the final unstratified collection, reusing phase samples.
 
@@ -257,14 +238,7 @@ def _final_unstratified(
     if theta > reused:
         roots = rng.integers(0, graph.num_nodes, size=theta - reused)
         parts.append(
-            sample_rr_sets_batch(
-                transpose,
-                roots,
-                rng,
-                workers=workers,
-                exec_backend=exec_backend,
-                kernel=kernel,
-            )
+            sample_rr_sets_batch(transpose, roots, rng, workers=workers)
         )
         group_parts.append(labels[roots])
     root_groups = np.concatenate(group_parts)
@@ -273,14 +247,7 @@ def _final_unstratified(
     )
     if extra.size:
         parts.append(
-            sample_rr_sets_batch(
-                transpose,
-                extra,
-                rng,
-                workers=workers,
-                exec_backend=exec_backend,
-                kernel=kernel,
-            )
+            sample_rr_sets_batch(transpose, extra, rng, workers=workers)
         )
         root_groups = np.concatenate([root_groups, labels[extra]])
     merged_ptr, merged_idx = concat_packed(parts)

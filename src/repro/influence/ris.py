@@ -356,8 +356,6 @@ def sample_rr_collection(
     store: str = "ram",
     memory_budget: Optional[int] = None,
     backend: Optional[ArrayBackend] = None,
-    exec_backend: Optional[str] = None,
-    kernel: Optional[str] = None,
 ) -> RRCollection | SegmentedRRCollection:
     """Sample an :class:`RRCollection` from a grouped graph.
 
@@ -380,10 +378,13 @@ def sample_rr_collection(
         Worker-pool width for the sampling engine
         (:mod:`repro.utils.parallel`). ``None`` keeps the serial in-line
         stream; any integer switches to the worker-count-invariant unit
-        decomposition (bitwise-identical collections for all counts and
-        backends). On the segmented store, units stream through a
-        bounded in-flight window and append in unit order, so the
-        stored sets are bitwise those of the flat ``workers`` path.
+        decomposition (bitwise-identical collections for all counts,
+        for every pool backend and every kernel set; both are process
+        pins, see :func:`repro.utils.parallel.set_default_backend` and
+        :func:`repro.kernels.set_default_kernel`). On the segmented
+        store, units stream through a bounded in-flight window and
+        append in unit order, so the stored sets are bitwise those of
+        the flat ``workers`` path.
     store:
         ``"ram"`` (default) builds the flat in-memory
         :class:`RRCollection`; ``"mmap"`` streams completed sampling
@@ -397,13 +398,6 @@ def sample_rr_collection(
         Explicit :class:`repro.storage.backend.ArrayBackend` for the
         segments (tests inject scratch directories); defaults to a fresh
         backend of the ``store`` kind.
-    exec_backend:
-        Pool flavour for the ``workers`` path — ``"thread"`` (default),
-        ``"process"``, or ``"serial"``; see :mod:`repro.utils.parallel`.
-    kernel:
-        Hot-loop implementation set (see :mod:`repro.kernels`); ``None``
-        resolves the best available. Results are bitwise-identical for
-        every kernel.
     """
     check_positive_int(num_samples, "num_samples")
     if store not in ("ram", "mmap"):
@@ -420,8 +414,6 @@ def sample_rr_collection(
         rng,
         chunk_instances=None if flat else SEGMENT_CHUNK_INSTANCES,
         workers=workers,
-        exec_backend=exec_backend,
-        kernel=kernel,
     )
     if flat:
         set_indptr, set_indices = concat_packed(list(chunks))
@@ -565,8 +557,6 @@ def repair_rr_collection(
     seed: SeedLike = None,
     *,
     workers: Optional[int] = None,
-    exec_backend: Optional[str] = None,
-    kernel: Optional[str] = None,
 ) -> RepairResult:
     """Splice freshly resampled replacements for the affected RR sets.
 
@@ -600,8 +590,6 @@ def repair_rr_collection(
         roots,
         as_generator(seed),
         workers=workers,
-        exec_backend=exec_backend,
-        kernel=kernel,
     )
     if segmented:
         collection.store.replace_sets(affected, sub_indptr, sub_indices)

@@ -26,10 +26,9 @@ strategy and dispatches each call to the best available one:
 
 Every kernel produces bit-for-bit the baseline's arrays for the same
 inputs and RNG state — the registry changes speed, never results. The
-active set resolves as ``REPRO_KERNEL`` env override → ``"numba"`` when
-importable → ``"numpy"``; :func:`set_default_kernel` pins it
-programmatically (tests) and per-call ``kernel=`` arguments through the
-engine entry points override per use.
+active set is a process setting with no per-call override: it resolves
+as the :func:`set_default_kernel` pin → ``REPRO_KERNEL`` env override →
+``"numba"`` when importable → ``"numpy"``.
 """
 
 from __future__ import annotations
@@ -79,9 +78,9 @@ _REGISTRY: dict[str, Kernel] = {}
 _DEFAULT_OVERRIDE: Optional[str] = None
 
 
-def register_kernel(kernel: Kernel) -> None:
+def register_kernel(impl: Kernel) -> None:
     """Add (or replace) a kernel set in the registry."""
-    _REGISTRY[kernel.name] = kernel
+    _REGISTRY[impl.name] = impl
 
 
 def available_kernels() -> list[str]:

@@ -110,8 +110,6 @@ class InfluenceObjective(GroupedObjective):
         self._num_samples = 0
         self._stratified = True
         self._workers: Optional[int] = None
-        self._exec_backend: Optional[str] = None
-        self._kernel: Optional[str] = None
         # The resolved set, fixed when the objective is built: the gains
         # oracles run thousands of times a solve.
         self._kernel_set = get_kernel()
@@ -130,8 +128,6 @@ class InfluenceObjective(GroupedObjective):
         workers: Optional[int],
         store: str = "ram",
         memory_budget: Optional[int] = None,
-        exec_backend: Optional[str] = None,
-        kernel: Optional[str] = None,
     ) -> None:
         self._graph = graph
         self._graph_version = graph.version
@@ -146,9 +142,6 @@ class InfluenceObjective(GroupedObjective):
         self._num_samples = int(num_samples)
         self._stratified = bool(stratified)
         self._workers = workers
-        self._exec_backend = exec_backend
-        self._kernel = kernel
-        self._kernel_set = get_kernel(kernel)
         self._store = store
         self._memory_budget = memory_budget
 
@@ -173,16 +166,17 @@ class InfluenceObjective(GroupedObjective):
         store: str = "ram",
         memory_budget: Optional[int] = None,
         backend: Optional[ArrayBackend] = None,
-        exec_backend: Optional[str] = None,
-        kernel: Optional[str] = None,
     ) -> "InfluenceObjective":
         """Sample ``num_samples`` RR sets from ``graph`` and wrap them.
 
-        ``workers`` selects the pool sampling path and ``exec_backend``
-        its flavour (see :func:`repro.influence.ris.sample_rr_collection`);
-        ``kernel`` pins the hot-loop implementation set for sampling *and*
-        the objective's gains oracles (:mod:`repro.kernels`; all sets are
-        bitwise-equal). ``store`` / ``memory_budget`` select the storage
+        ``workers`` selects the sampling law (see
+        :func:`repro.influence.ris.sample_rr_collection`), and every
+        later :meth:`refresh` repairs or resamples under that same law.
+        The pool backend and the kernel set are process pins
+        (:func:`repro.utils.parallel.set_default_backend`,
+        :func:`repro.kernels.set_default_kernel`); the kernel set is
+        resolved once here for the gains oracles, and all sets are
+        bitwise-equal. ``store`` / ``memory_budget`` select the storage
         tier — ``store="mmap"`` streams the collection into byte-budgeted
         memory-mapped segments whose gains fold to bitwise the flat
         results.
@@ -190,13 +184,12 @@ class InfluenceObjective(GroupedObjective):
         collection = sample_rr_collection(
             graph, num_samples, seed=seed, stratified=stratified,
             workers=workers, store=store, memory_budget=memory_budget,
-            backend=backend, exec_backend=exec_backend, kernel=kernel,
+            backend=backend,
         )
         objective = cls.from_collection(collection, graph.group_sizes())
         objective._bind_graph(
             graph, seed, num_samples, stratified, workers,
             store=store, memory_budget=memory_budget,
-            exec_backend=exec_backend, kernel=kernel,
         )
         return objective
 
@@ -212,8 +205,6 @@ class InfluenceObjective(GroupedObjective):
         seed: SeedLike = None,
         stratified: bool = True,
         workers: Optional[int] = None,
-        exec_backend: Optional[str] = None,
-        kernel: Optional[str] = None,
     ) -> "InfluenceObjective":
         """IMM-sized sampling (see :mod:`repro.influence.imm`)."""
         imm = imm_rr_collection(
@@ -225,14 +216,8 @@ class InfluenceObjective(GroupedObjective):
             seed=seed,
             stratified=stratified,
             workers=workers,
-            exec_backend=exec_backend,
-            kernel=kernel,
         )
-        objective = cls.from_collection(imm.collection, graph.group_sizes())
-        objective._kernel = kernel
-        objective._kernel_set = get_kernel(kernel)
-        objective._exec_backend = exec_backend
-        return objective
+        return cls.from_collection(imm.collection, graph.group_sizes())
 
     @property
     def collection(self) -> RRCollection:
@@ -292,12 +277,7 @@ class InfluenceObjective(GroupedObjective):
         }
 
     # -- incremental repair ----------------------------------------------
-    def refresh(
-        self,
-        graph: Optional[Graph] = None,
-        *,
-        workers: Optional[int] = ...,  # type: ignore[assignment]
-    ) -> RepairResult:
+    def refresh(self, graph: Optional[Graph] = None) -> RepairResult:
         """Bring the sampled state up to date with the bound graph.
 
         Reads the graph's mutation log since the version this objective
@@ -308,7 +288,9 @@ class InfluenceObjective(GroupedObjective):
         rewrite, log overflow), the collection is resampled from scratch
         under the same configuration. Either way the objective ends
         consistent with the current graph and :attr:`repair_epoch` is
-        bumped iff the sampled state changed.
+        bumped iff the sampled state changed. Repair and resample run
+        under the sampling law the objective was built with (its
+        ``workers``), so a collection never mixes the two laws' sets.
 
         Only objectives built by :meth:`from_graph` can refresh —
         :meth:`from_collection` / :meth:`from_graph_imm` objectives have
@@ -327,8 +309,6 @@ class InfluenceObjective(GroupedObjective):
                 "sampled from"
             )
         graph = bound
-        if workers is ...:
-            workers = self._workers
         from_version = self._graph_version
         to_version = graph.version
         if to_version == from_version:
@@ -350,12 +330,10 @@ class InfluenceObjective(GroupedObjective):
                 self._num_samples,
                 seed=seed,
                 stratified=self._stratified,
-                workers=workers,
+                workers=self._workers,
                 store=self._store,
                 memory_budget=self._memory_budget,
                 backend=self._backend,
-                exec_backend=self._exec_backend,
-                kernel=self._kernel,
             )
             self._collection = collection
             self._segmented = isinstance(collection, SegmentedRRCollection)
@@ -377,8 +355,7 @@ class InfluenceObjective(GroupedObjective):
             )
         else:
             result = repair_rr_collection(
-                self._collection, graph, delta, seed, workers=workers,
-                exec_backend=self._exec_backend, kernel=self._kernel,
+                self._collection, graph, delta, seed, workers=self._workers
             )
             # The segmented store re-inverts the rewritten segments
             # inside replace_sets; only the flat index needs patching.

@@ -38,7 +38,7 @@ from repro.datasets.registry import DATASETS, load_dataset
 from repro.service.protocol import Response, ServiceRequest
 from repro.service.session import SolverSession
 from repro.utils.caching import BoundedCache
-from repro.utils.parallel import pool_stats, resolve_backend
+from repro.utils.parallel import pool_stats, set_default_backend
 from repro.utils.stats import LatencyWindow
 from repro.utils.timing import Timer
 
@@ -53,7 +53,14 @@ MAX_SESSIONS = 8
 
 
 class ServiceEngine:
-    """Long-lived dispatcher over warm per-dataset sessions."""
+    """Long-lived dispatcher over warm per-dataset sessions.
+
+    ``exec_backend`` is a process setting, not engine state: a non-``None``
+    value pins the pool flavour for the whole process
+    (:func:`repro.utils.parallel.set_default_backend`), so shard children
+    rebuilding their engine from the same config pin it too; ``None``
+    leaves the current pin alone. ``stats`` reports the configured value.
+    """
 
     def __init__(
         self,
@@ -67,7 +74,7 @@ class ServiceEngine:
         if store not in ("ram", "mmap"):
             raise ValueError(f"store must be 'ram' or 'mmap', got {store!r}")
         if exec_backend is not None:
-            resolve_backend(exec_backend)  # validate eagerly
+            set_default_backend(exec_backend)
         self.workers = workers
         self.exec_backend = exec_backend
         self.store = store
@@ -105,7 +112,6 @@ class ServiceEngine:
         def build() -> SolverSession:
             return SolverSession(
                 load_dataset(dataset_name, seed=seed),
-                exec_backend=self.exec_backend,
                 store=store,
                 memory_budget=budget,
             )

@@ -69,12 +69,6 @@ class SolverSession:
     ----------
     dataset:
         The loaded workload (see :mod:`repro.datasets.registry`).
-    exec_backend:
-        Pool flavour for parallel sampling/evaluation —
-        ``"thread"`` (default), ``"process"`` or ``"serial"``. All
-        backends produce bitwise-identical results; the knob only
-        selects the execution mechanism (see
-        :mod:`repro.utils.parallel`).
     store:
         Storage tier of influence objectives: ``"ram"`` keeps the flat
         in-memory RR arrays, ``"mmap"`` samples into the segmented
@@ -87,14 +81,16 @@ class SolverSession:
 
     The worker width is not session state: every sampling or evaluation
     call takes ``workers`` (``None`` = the serial in-line stream), so
-    the caller picks one draw law per request.
+    the caller picks one draw law per request. The pool flavour and the
+    kernel set are process pins
+    (:func:`repro.utils.parallel.set_default_backend`,
+    :func:`repro.kernels.set_default_kernel`), not session state either.
     """
 
     def __init__(
         self,
         dataset: Dataset,
         *,
-        exec_backend: Optional[str] = None,
         store: str = "ram",
         memory_budget: Optional[int] = None,
         objective_budget: int = DEFAULT_OBJECTIVE_BUDGET,
@@ -103,7 +99,6 @@ class SolverSession:
         if store not in ("ram", "mmap"):
             raise ValueError(f"store must be 'ram' or 'mmap', got {store!r}")
         self.dataset = dataset
-        self.exec_backend = exec_backend
         self.store = store
         self.memory_budget = memory_budget
         self._objectives = BoundedCache(objective_budget)
@@ -181,7 +176,6 @@ class SolverSession:
             return InfluenceObjective.from_graph(
                 dataset.graph, im_samples,
                 seed=sample_seed, workers=workers,
-                exec_backend=self.exec_backend,
                 store=self.store, memory_budget=self.memory_budget,
             )
 
@@ -190,7 +184,7 @@ class SolverSession:
         )
         version = getattr(objective, "graph_version", None)
         if version is not None and version != dataset.graph.version:
-            self._record_repair(objective.refresh(workers=workers))
+            self._record_repair(objective.refresh())
             self._objectives.reaccount(key)
         return objective
 
@@ -225,7 +219,6 @@ class SolverSession:
             values = monte_carlo_group_spread(
                 dataset.graph, solution, mc_simulations,
                 seed=mc_seed, workers=workers,
-                exec_backend=self.exec_backend,
             )
             weights = dataset.graph.group_sizes() / dataset.graph.num_nodes
             return (float(weights @ values), float(values.min()))
@@ -452,18 +445,14 @@ class SolverSession:
         )
 
 
-def _session_key(dataset: Dataset, *, workers: Optional[int] = None) -> tuple:
-    # Keyed by dataset identity plus the RNG decomposition law, mirroring
-    # the historical harness contract: cached samples are shared across
-    # positive worker counts (bitwise-identical streams) but never across
-    # the serial/units boundary, whose streams differ.
+def _session_key(dataset: Dataset) -> tuple:
+    # Keyed by dataset identity only: the session's own caches key every
+    # entry on the RNG decomposition law, so one session serves both laws.
     anchor = dataset.graph if dataset.graph is not None else dataset.objective
-    return (dataset.name, id(anchor), _decomposition_law(workers))
+    return (dataset.name, id(anchor))
 
 
-def _session_valid(
-    session: SolverSession, dataset: Dataset, *, workers: Optional[int] = None
-) -> bool:
+def _session_valid(session: SolverSession, dataset: Dataset) -> bool:
     # Identity pin against id() recycling.
     ours = session.dataset
     return (
@@ -479,9 +468,7 @@ def _session_valid(
     validate=_session_valid,
     sizeof=lambda session: 1,  # registry bounds session *count*, not bytes
 )
-def shared_session(
-    dataset: Dataset, *, workers: Optional[int] = None
-) -> SolverSession:
+def shared_session(dataset: Dataset) -> SolverSession:
     """The module-level warm session for a loaded dataset.
 
     Keyed by dataset identity (two ``load_dataset`` calls produce

@@ -23,7 +23,9 @@ pool while keeping three guarantees:
   mutation behaves like a process copy); the serial fallback passes the
   caller's original, unchanged from the pre-pool behaviour.
 
-Backends:
+Backends (every pool entry point takes an explicit ``backend``;
+``None`` means the process pin set by :func:`set_default_backend`,
+else ``"thread"``):
 
 * ``"thread"`` (default) — a :class:`~concurrent.futures.ThreadPoolExecutor`.
   The shared arrays are passed to workers directly (zero-copy, no
@@ -75,6 +77,7 @@ __all__ = [
     "reset_pools_after_fork",
     "resolve_backend",
     "resolve_workers",
+    "set_default_backend",
     "shutdown_pools",
     "spawn_seed_sequences",  # canonical impl lives in repro.utils.rng
     "split_ranges",
@@ -93,11 +96,13 @@ DEFAULT_UNITS = 16
 #: Recognised execution backends, in documentation order.
 BACKENDS = ("serial", "thread", "process")
 
-#: Backend used when callers pass ``None``: threads share the CSR
-#: arrays zero-copy and the kernels drop the GIL inside NumPy/compiled
-#: loops, so this is the right default on every platform (including
-#: those without ``fork``).
+#: Backend used when callers pass ``None`` and nothing is pinned:
+#: threads share the CSR arrays zero-copy and the kernels drop the GIL
+#: inside NumPy/compiled loops, so this is the right default on every
+#: platform (including those without ``fork``).
 DEFAULT_BACKEND = "thread"
+
+_BACKEND_OVERRIDE: Optional[str] = None
 
 
 def fork_available() -> bool:
@@ -164,14 +169,30 @@ def resolve_workers(workers: Optional[int]) -> int:
 
 
 def resolve_backend(backend: Optional[str]) -> str:
-    """Normalise a user-facing backend name (``None`` → the default)."""
+    """Normalise a user-facing backend name.
+
+    ``None`` → the :func:`set_default_backend` pin, else
+    :data:`DEFAULT_BACKEND`.
+    """
     if backend is None:
-        return DEFAULT_BACKEND
+        return _BACKEND_OVERRIDE or DEFAULT_BACKEND
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r} (expected one of {BACKENDS})"
         )
     return backend
+
+
+def set_default_backend(name: Optional[str]) -> None:
+    """Pin the process-wide pool flavour (``None`` restores the default).
+
+    Like the kernel pin (:func:`repro.kernels.set_default_kernel`) this
+    is a pure speed knob: every backend yields the same bits.
+    """
+    if name is not None:
+        resolve_backend(name)  # validate before touching the pin
+    global _BACKEND_OVERRIDE
+    _BACKEND_OVERRIDE = name
 
 
 def pool_width(
@@ -460,20 +481,17 @@ class WorkerPool:
         *,
         shared: Optional[Sequence[np.ndarray]] = None,
         payload: Any = None,
-        window: Optional[int] = None,
     ) -> Iterator[Any]:
         """Lazily yield results in task order, bounding in-flight tasks.
 
-        With ``window`` (default ``2 * width``) at most that many tasks
-        are submitted ahead of the consumer — the streaming appender of
-        the out-of-core tier bounds its resident packed chunks this way.
+        At most ``2 * width`` tasks are submitted ahead of the consumer —
+        the streaming appender of the out-of-core tier bounds its
+        resident packed chunks this way.
         """
         tasks = list(tasks)
         self.dispatches += 1
         self.tasks_run += len(tasks)
-        if window is None:
-            window = 2 * self.width
-        window = max(int(window), 1)
+        window = 2 * self.width
         if self.backend == "thread":
             run = self._thread_runner(fn, shared, payload)
             return self._window_iter(
@@ -644,12 +662,11 @@ def parallel_imap(
     shared: Optional[Sequence[np.ndarray]] = None,
     payload: Any = None,
     backend: Optional[str] = None,
-    window: Optional[int] = None,
 ) -> Iterator[Any]:
     """Streaming :func:`parallel_map`: yield results lazily in task order.
 
-    At most ``window`` tasks (default twice the pool width) are in
-    flight ahead of the consumer, so a byte-budgeted appender — the
+    At most twice the pool width of tasks are in flight ahead of the
+    consumer, so a byte-budgeted appender — the
     out-of-core RR store — bounds its resident results. The serial
     fallback evaluates one task per ``next()``.
     """
@@ -659,5 +676,5 @@ def parallel_imap(
     if count <= 1:
         return _serial_results(fn, tasks, shared, payload)
     return get_pool(resolved, count).imap(
-        fn, tasks, shared=shared, payload=payload, window=window
+        fn, tasks, shared=shared, payload=payload
     )

@@ -10,8 +10,18 @@ import pytest
 
 from repro.core.functions import GroupedObjective
 from repro.datasets.paper_example import figure1_instance
+from repro.kernels import set_default_kernel
 from repro.problems.coverage import CoverageObjective
 from repro.problems.facility import FacilityLocationObjective
+from repro.utils.parallel import set_default_backend
+
+
+@pytest.fixture(autouse=True)
+def _reset_speed_pins():
+    """Drop any kernel / pool-backend pin a test set, so none leaks on."""
+    yield
+    set_default_kernel(None)
+    set_default_backend(None)
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ and documented, benchmark files map to DESIGN.md's experiment index."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -84,3 +85,50 @@ class TestPublicApi:
 
     def test_version_string(self):
         assert repro.__version__ == "1.0.0"
+
+
+class TestSpeedKnobsArePins:
+    """The kernel set and the pool flavour are process settings.
+
+    They are selected once (:func:`repro.kernels.set_default_kernel` /
+    ``REPRO_KERNEL`` and :func:`repro.utils.parallel.set_default_backend`),
+    never threaded through call signatures; ``ServiceEngine`` keeps its
+    ``exec_backend`` config keyword, which sets the pin.
+    """
+
+    ALLOWED = {("repro/service/engine.py", "ServiceEngine.__init__")}
+
+    @staticmethod
+    def _public(name: str) -> bool:
+        return not name.startswith("_") or (
+            name.startswith("__") and name.endswith("__")
+        )
+
+    def _public_functions(self, tree):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if self._public(node.name):
+                    yield node.name, node
+            elif isinstance(node, ast.ClassDef) and self._public(node.name):
+                for item in node.body:
+                    if isinstance(
+                        item, (ast.FunctionDef, ast.AsyncFunctionDef)
+                    ) and self._public(item.name):
+                        yield f"{node.name}.{item.name}", item
+
+    def test_no_public_kernel_or_exec_backend_parameter(self):
+        src = REPO_ROOT / "src"
+        offenders = []
+        for path in sorted((src / "repro").rglob("*.py")):
+            rel = path.relative_to(src).as_posix()
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for qualname, fn in self._public_functions(tree):
+                args = fn.args
+                names = {
+                    a.arg
+                    for a in args.posonlyargs + args.args + args.kwonlyargs
+                }
+                hit = names & {"kernel", "exec_backend"}
+                if hit and (rel, qualname) not in self.ALLOWED:
+                    offenders.append(f"{rel}::{qualname} {sorted(hit)}")
+        assert not offenders, offenders

@@ -48,13 +48,6 @@ def _adjacency(seed: int = 3, n: int = 60):
     return g.transpose_adjacency(), g
 
 
-@pytest.fixture(autouse=True)
-def _unpinned_default():
-    # Tests below pin the default; always restore auto-resolution.
-    yield
-    set_default_kernel(None)
-
-
 class TestRegistry:
     def test_baseline_and_numpy_always_available(self):
         names = available_kernels()
@@ -379,8 +372,10 @@ class TestEndToEndKernelInvariance:
         _maybe_skip(name)
         g = stochastic_block_model([40, 40], 0.1, 0.02, seed=9)
         g.set_edge_probabilities(0.2)
-        reference = sample_rr_collection(g, 200, seed=5, kernel="baseline")
-        col = sample_rr_collection(g, 200, seed=5, kernel=name)
+        set_default_kernel("baseline")
+        reference = sample_rr_collection(g, 200, seed=5)
+        set_default_kernel(name)
+        col = sample_rr_collection(g, 200, seed=5)
         np.testing.assert_array_equal(
             reference.set_indptr, col.set_indptr
         )
@@ -403,9 +398,7 @@ class TestEndToEndKernelInvariance:
             set_default_kernel(kernel)
             from repro.problems.influence import InfluenceObjective
 
-            objective = InfluenceObjective.from_graph(
-                data.graph, 300, seed=1, kernel=kernel
-            )
+            objective = InfluenceObjective.from_graph(data.graph, 300, seed=1)
             problem = BSMProblem(objective, k=3, tau=0.0)
             results[kernel] = problem.solve("greedy")
         set_default_kernel(None)

@@ -47,6 +47,7 @@ from repro.utils.csr import (
     invert_csr_segment,
     segment_spans,
 )
+from repro.utils.parallel import set_default_backend
 
 #: The five influence datasets the CLI exposes (mirrors test_repair.py).
 CLI_DATASETS = [
@@ -447,13 +448,9 @@ class TestSegmentedIdentity:
         # bitwise those of the flat workers path — for every backend.
         data = load_dataset("rand-im-c2", seed=0)
         flat = sample_rr_collection(data.graph, 150, seed=11, workers=2)
+        set_default_backend(exec_backend)
         seg = sample_rr_collection(
-            data.graph,
-            150,
-            seed=11,
-            store="mmap",
-            workers=2,
-            exec_backend=exec_backend,
+            data.graph, 150, seed=11, store="mmap", workers=2
         )
         from repro.utils.csr import concat_packed
 

@@ -26,6 +26,7 @@ from repro.graphs.generators import stochastic_block_model
 from repro.influence.ic_model import monte_carlo_group_spread, monte_carlo_spread
 from repro.influence.imm import imm_rr_collection
 from repro.influence.ris import sample_rr_collection
+from repro.kernels import set_default_kernel
 from repro.utils.parallel import (
     DEFAULT_UNITS,
     SharedArrays,
@@ -40,6 +41,7 @@ from repro.utils.parallel import (
     pool_width,
     resolve_backend,
     resolve_workers,
+    set_default_backend,
     shutdown_pools,
     spawn_seed_sequences,
     split_ranges,
@@ -100,6 +102,60 @@ class TestBackendResolution:
 
     def test_pool_width_caps_at_task_count(self):
         assert pool_width(8, 3, backend="thread") == 3
+
+
+class TestBackendPin:
+    """``set_default_backend`` is the one way to pick the pool flavour."""
+
+    def test_pin_feeds_resolution_and_pool_width(self):
+        set_default_backend("serial")
+        assert resolve_backend(None) == "serial"
+        assert pool_width(4, 8) == 1
+        assert resolve_backend("thread") == "thread"  # explicit wins
+        set_default_backend(None)
+        assert resolve_backend(None) == "thread"
+
+    def test_unknown_pin_rejected_and_pin_kept(self):
+        set_default_backend("serial")
+        with pytest.raises(ValueError):
+            set_default_backend("gpu")
+        assert resolve_backend(None) == "serial"
+
+    @pytest.mark.skipif(not fork_available(), reason="platform lacks fork")
+    def test_process_pin_spawns_process_pool_with_same_bits(self):
+        g = _im_graph()
+        set_default_backend("serial")
+        reference = sample_rr_collection(g, 200, seed=5, workers=1)
+        shutdown_pools()
+        try:
+            set_default_backend("process")
+            col = sample_rr_collection(g, 200, seed=5, workers=2)
+            backends = {
+                pool["backend"] for pool in pool_stats()["active_pools"]
+            }
+            assert "process" in backends
+        finally:
+            shutdown_pools()
+        np.testing.assert_array_equal(reference.set_indptr, col.set_indptr)
+        np.testing.assert_array_equal(reference.set_indices, col.set_indices)
+        np.testing.assert_array_equal(reference.root_groups, col.root_groups)
+
+    def test_service_engine_config_sets_pin(self):
+        from repro.service import ServiceEngine
+
+        engine = ServiceEngine(exec_backend="serial")
+        assert resolve_backend(None) == "serial"
+        assert engine.stats()["exec_backend"] == "serial"
+        later = ServiceEngine()
+        assert resolve_backend(None) == "serial"
+        assert later.stats()["config"]["exec_backend"] is None
+
+    def test_service_engine_rejects_unknown_backend(self):
+        from repro.service import ServiceEngine
+
+        with pytest.raises(ValueError):
+            ServiceEngine(exec_backend="gpu")
+        assert resolve_backend(None) == "thread"
 
 
 class TestPersistentPools:
@@ -282,12 +338,10 @@ class TestThreadBackendInvariance:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_rr_collection_matches_serial_backend(self, workers):
         g = _im_graph()
-        reference = sample_rr_collection(
-            g, 200, seed=5, workers=1, exec_backend="serial"
-        )
-        col = sample_rr_collection(
-            g, 200, seed=5, workers=workers, exec_backend="thread"
-        )
+        set_default_backend("serial")
+        reference = sample_rr_collection(g, 200, seed=5, workers=1)
+        set_default_backend("thread")
+        col = sample_rr_collection(g, 200, seed=5, workers=workers)
         np.testing.assert_array_equal(reference.set_indptr, col.set_indptr)
         np.testing.assert_array_equal(reference.set_indices, col.set_indices)
         np.testing.assert_array_equal(reference.root_groups, col.root_groups)
@@ -295,23 +349,20 @@ class TestThreadBackendInvariance:
     def test_mc_group_spread_matches_serial_backend(self):
         g = _im_graph()
         seeds = [0, 7, 23]
-        reference = monte_carlo_group_spread(
-            g, seeds, 150, seed=3, workers=1, exec_backend="serial"
-        )
+        set_default_backend("serial")
+        reference = monte_carlo_group_spread(g, seeds, 150, seed=3, workers=1)
+        set_default_backend("thread")
         for workers in WORKER_COUNTS[1:]:
             values = monte_carlo_group_spread(
-                g, seeds, 150, seed=3, workers=workers,
-                exec_backend="thread",
+                g, seeds, 150, seed=3, workers=workers
             )
             np.testing.assert_array_equal(reference, values)
 
     def test_greedi_thread_matches_serial(self):
         objective = load_dataset("rand-mc-c2", seed=0).objective
         reference = greedi(objective, 4, num_machines=4, seed=3)
-        result = greedi(
-            objective, 4, num_machines=4, seed=3, workers=2,
-            exec_backend="thread",
-        )
+        set_default_backend("thread")
+        result = greedi(objective, 4, num_machines=4, seed=3, workers=2)
         assert result.solution == reference.solution
         assert result.oracle_calls == reference.oracle_calls
         assert result.extra["machine_calls"] == reference.extra["machine_calls"]
@@ -409,15 +460,13 @@ class TestWorkerCountInvariance:
         # The full (backend, kernel, workers) cross: every combination
         # reproduces the workers=1 serial-backend baseline stream.
         g = _im_graph()
-        reference = sample_rr_collection(
-            g, 200, seed=5, workers=1,
-            exec_backend="serial", kernel="baseline",
-        )
+        set_default_backend("serial")
+        set_default_kernel("baseline")
+        reference = sample_rr_collection(g, 200, seed=5, workers=1)
+        set_default_backend(exec_backend)
+        set_default_kernel(kernel)
         for workers in WORKER_COUNTS:
-            col = sample_rr_collection(
-                g, 200, seed=5, workers=workers,
-                exec_backend=exec_backend, kernel=kernel,
-            )
+            col = sample_rr_collection(g, 200, seed=5, workers=workers)
             np.testing.assert_array_equal(
                 reference.set_indptr, col.set_indptr
             )

@@ -40,7 +40,7 @@ from repro.influence.triggering import (
     lt_trigger_sampler,
     topk_trigger_sampler,
 )
-from repro.kernels import available_kernels
+from repro.kernels import available_kernels, set_default_kernel
 from repro.storage.backend import resolve_backend
 from repro.utils.csr import concat_packed
 
@@ -106,7 +106,7 @@ def _collection_digest(collection) -> str:
     return _digest(*_packed(collection), collection.root_groups)
 
 
-def _collection(name, store, workers, stratified, tmp_path, kernel=None):
+def _collection(name, store, workers, stratified, tmp_path):
     backend = (
         resolve_backend("mmap", directory=str(tmp_path))
         if store == "mmap" else None
@@ -119,7 +119,6 @@ def _collection(name, store, workers, stratified, tmp_path, kernel=None):
         workers=workers,
         store=store,
         backend=backend,
-        kernel=kernel,
     )
 
 
@@ -127,7 +126,7 @@ def _roots(graph, size: int) -> np.ndarray:
     return np.random.default_rng(9).integers(0, graph.num_nodes, size=size)
 
 
-def _batch_digest(workers, kernel=None) -> str:
+def _batch_digest(workers) -> str:
     graph = load_dataset("rand-im-c2", seed=0).graph
     return _digest(
         *sample_rr_sets_batch(
@@ -136,12 +135,11 @@ def _batch_digest(workers, kernel=None) -> str:
             np.random.default_rng(5),
             max_keys=SMALL_MAX_KEYS,
             workers=workers,
-            kernel=kernel,
         )
     )
 
 
-def _cascade_digest(workers, kernel=None) -> str:
+def _cascade_digest(workers) -> str:
     graph = load_dataset("rand-im-c2", seed=0).graph
     return _digest(
         cascade_activation_counts(
@@ -151,7 +149,6 @@ def _cascade_digest(workers, kernel=None) -> str:
             np.random.default_rng(6),
             max_keys=SMALL_MAX_KEYS,
             workers=workers,
-            kernel=kernel,
         )
     )
 
@@ -272,24 +269,26 @@ def test_walk_collection_is_frozen(model, stratified):
 def test_units_law_is_kernel_and_worker_count_invariant(
     kernel, workers, store, tmp_path
 ):
+    set_default_kernel(kernel)
     for name in DATASETS:
-        collection = _collection(name, store, workers, True, tmp_path, kernel)
+        collection = _collection(name, store, workers, True, tmp_path)
         assert _collection_digest(collection) == FINGERPRINTS[
             "collection", name, 2, True
         ]
-    assert _batch_digest(workers, kernel) == FINGERPRINTS["batch", 2]
-    assert _cascade_digest(workers, kernel) == FINGERPRINTS["cascade", 2]
+    assert _batch_digest(workers) == FINGERPRINTS["batch", 2]
+    assert _cascade_digest(workers) == FINGERPRINTS["cascade", 2]
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("kernel", available_kernels())
 def test_serial_law_is_kernel_invariant(kernel, tmp_path):
+    set_default_kernel(kernel)
     for store in ("ram", "mmap"):
         collection = _collection(
-            "facebook-im-c2", store, None, False, tmp_path, kernel
+            "facebook-im-c2", store, None, False, tmp_path
         )
         assert _collection_digest(collection) == FINGERPRINTS[
             "collection", "facebook-im-c2", None, False
         ]
-    assert _batch_digest(None, kernel) == FINGERPRINTS["batch", None]
-    assert _cascade_digest(None, kernel) == FINGERPRINTS["cascade", None]
+    assert _batch_digest(None) == FINGERPRINTS["batch", None]
+    assert _cascade_digest(None) == FINGERPRINTS["cascade", None]

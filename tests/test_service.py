@@ -339,13 +339,20 @@ class TestSharedSessions:
         assert shared_session(a) is not shared_session(b)
 
     def test_law_keyed_but_worker_count_shared(self):
+        # One session per dataset; its objective cache keys the draw law,
+        # so the serial stream and the unit law (any worker count) each
+        # get exactly one entry.
         reset_shared_sessions()
-        data = load_dataset("rand-mc-c2", seed=0, num_nodes=60)
-        serial = shared_session(data, workers=None)
-        units2 = shared_session(data, workers=2)
-        units4 = shared_session(data, workers=4)
-        assert serial is not units2
-        assert units2 is units4  # same decomposition law
+        data = load_dataset("rand-im-c2", seed=0)
+        session = shared_session(data)
+        assert shared_session(data) is session
+        objectives = {
+            workers: session.objective(im_samples=100, workers=workers)
+            for workers in (None, 2, 4)
+        }
+        assert objectives[None] is not objectives[2]
+        assert objectives[2] is objectives[4]  # same decomposition law
+        assert session.objective_cache.stats.entries == 2
 
 
 # ---------------------------------------------------------------------------
