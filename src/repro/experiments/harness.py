@@ -96,7 +96,8 @@ class SweepResult:
 # by dataset identity; an in-place `add_edge`/`set_arc_probability`
 # between sweeps bumps `Graph.version` and the session *repairs* its
 # warm objective against the mutation delta (DESIGN.md section 9) --
-# only RR sets touching changed arcs are regenerated -- while
+# only RR sets touching changed arcs are regenerated, from CSR caches
+# that `set_arc_probability` patches rather than rebuilds -- while
 # whole-graph rewrites (`set_edge_probabilities`) fall back to a full
 # resample. Every cache is a byte-budgeted LRU (`repro.utils.caching`),
 # so a long-lived batch process cannot leak -- the unbounded module

@@ -33,11 +33,13 @@ def _sbm_edges(
     """Sample SBM edges over contiguous blocks of ``sizes`` nodes.
 
     Returns ``(sources, targets)`` in sampling order: block pair by block
-    pair, row-major within a pair. Undirected edges come out with
-    ``u < v``. Edge sampling is vectorised per block pair (geometric
-    skipping would be faster for very sparse blocks but the paper's SBMs
-    are dense enough that a Bernoulli matrix per block pair is simpler
-    and fast).
+    pair, row-major within a pair. Each block pair draws one dense
+    Bernoulli matrix (geometric skipping would be faster for very sparse
+    blocks but the paper's SBMs are dense enough that this is simpler
+    and fast) and keeps the flat positions of its hits. Within a diagonal
+    block the self-pairs are dropped from those index arrays (directed),
+    or everything but ``u < v`` is (undirected); the matrix itself is
+    never rewritten.
     """
     offsets = np.cumsum([0] + list(sizes))
     sources: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
@@ -50,12 +52,10 @@ def _sbm_edges(
             if p == 0.0:
                 continue
             mask = rng.random((sizes[gi], sizes[gj])) < p
+            ii, jj = np.divmod(np.flatnonzero(mask), sizes[gj])
             if gi == gj:
-                if directed:
-                    np.fill_diagonal(mask, False)
-                else:
-                    mask = np.triu(mask, k=1)
-            ii, jj = np.nonzero(mask)
+                keep = ii != jj if directed else ii < jj
+                ii, jj = ii[keep], jj[keep]
             sources.append(ii + offsets[gi])
             targets.append(jj + offsets[gj])
     return np.concatenate(sources), np.concatenate(targets)

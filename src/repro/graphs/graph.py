@@ -9,6 +9,7 @@ arcs so that the influence and coverage code paths are identical for both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -218,9 +219,7 @@ class Graph:
         """
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {probability}")
-        for plist in self._succ_p:
-            for i in range(len(plist)):
-                plist[i] = probability
+        self._succ_p = [[probability] * len(lst) for lst in self._succ]
         self._csr_cache = None
         self._transpose_cache = None
         self._version += 1
@@ -237,6 +236,12 @@ class Graph:
         Raises :class:`KeyError` if the arc is absent — use
         :meth:`add_edge` to create new arcs. Parallel arcs (the graph
         permits duplicates) are all updated.
+
+        Warm CSR caches are patched rather than dropped: each gets a
+        fresh ``probabilities`` array with the changed entries rewritten,
+        while ``indptr`` and ``indices`` keep their identity. Arrays
+        handed out earlier are never written, so a caller (or a sampling
+        pass in flight) keeps seeing the old values.
         """
         self._check_node(u)
         self._check_node(v)
@@ -248,11 +253,15 @@ class Graph:
         # mutation *creates* (matching add_edge, where consumers replay
         # "everything after version X").
         self._version += 1
-        self._set_one_arc(u, v, probability)
+        arcs = [(u, v)]
         if not self.directed and u != v:
-            self._set_one_arc(v, u, probability)
-        self._csr_cache = None
-        self._transpose_cache = None
+            arcs.append((v, u))
+        for a, b in arcs:
+            self._set_one_arc(a, b, probability)
+        self._csr_cache = _patch_probabilities(self._csr_cache, arcs, probability)
+        self._transpose_cache = _patch_probabilities(
+            self._transpose_cache, [(b, a) for a, b in arcs], probability
+        )
 
     def _set_one_arc(self, u: int, v: int, probability: float) -> None:
         hits = [i for i, w in enumerate(self._succ[u]) if w == v]
@@ -334,10 +343,11 @@ class Graph:
     def version(self) -> int:
         """Mutation counter, bumped by every structural or weight change.
 
-        External caches keyed by graph identity (e.g. the experiment
-        harness's sampled-collection cache) include this so an in-place
-        ``add_edge``/``set_edge_probabilities`` invalidates their entries
-        the same way it invalidates the graph's own CSR caches.
+        External state derived from the graph (e.g. a warm session's
+        sampled RR collection) records this and replays
+        :meth:`mutations_since` to catch up. The graph's own CSR caches
+        do not key on it: ``set_arc_probability`` patches them instead
+        of rebuilding, and the other mutators drop them.
         """
         return self._version
 
@@ -386,18 +396,24 @@ class Graph:
         """CSR-style arrays ``(indptr, indices, probabilities)`` of out-arcs.
 
         Cached; used by the cascade simulator and RIS sampler where Python
-        list traversal would dominate runtime.
+        list traversal would dominate runtime. A cold build flattens the
+        adjacency lists with ``np.fromiter``; ``set_arc_probability``
+        patches a warm cache, and the other mutators drop it.
         """
         if self._csr_cache is None:
-            indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-            for u in range(self.num_nodes):
-                indptr[u + 1] = indptr[u] + len(self._succ[u])
-            indices = np.empty(indptr[-1], dtype=np.int64)
-            probs = np.empty(indptr[-1], dtype=np.float64)
-            for u in range(self.num_nodes):
-                lo, hi = indptr[u], indptr[u + 1]
-                indices[lo:hi] = self._succ[u]
-                probs[lo:hi] = self._succ_p[u]
+            n = self.num_nodes
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(
+                np.fromiter(map(len, self._succ), dtype=np.int64, count=n),
+                out=indptr[1:],
+            )
+            m = int(indptr[-1])
+            indices = np.fromiter(
+                chain.from_iterable(self._succ), dtype=np.int64, count=m
+            )
+            probs = np.fromiter(
+                chain.from_iterable(self._succ_p), dtype=np.float64, count=m
+            )
             self._csr_cache = (indptr, indices, probs)
         return self._csr_cache
 
@@ -441,6 +457,27 @@ class Graph:
     def _check_node(self, u: int) -> None:
         if not 0 <= u < self.num_nodes:
             raise IndexError(f"node {u} out of range [0, {self.num_nodes})")
+
+
+def _patch_probabilities(
+    adjacency: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    arcs: Sequence[tuple[int, int]],
+    probability: float,
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``adjacency`` with every stored ``row -> col`` of ``arcs`` set to
+    ``probability``, written into a copy of its probabilities.
+
+    ``indptr`` and ``indices`` are returned as they are; a cold (``None``)
+    cache stays cold.
+    """
+    if adjacency is None:
+        return None
+    indptr, indices, probs = adjacency
+    probs = probs.copy()
+    for row, col in arcs:
+        lo, hi = int(indptr[row]), int(indptr[row + 1])
+        probs[lo:hi][indices[lo:hi] == col] = probability
+    return indptr, indices, probs
 
 
 class CSRGraph(Graph):

@@ -181,11 +181,11 @@ def exact_group_spread(
     guard refuses graphs with more than ``max_nodes`` nodes or 20 arcs.
     Exists to validate the Monte-Carlo and RIS estimators in tests.
     """
-    arcs = list(graph.edges())
-    if graph.num_nodes > max_nodes or len(arcs) > 20:
+    if graph.num_nodes > max_nodes or graph.num_arcs > 20:
         raise ValueError(
             "exact_group_spread enumerates 2^|arcs| outcomes; instance too large"
         )
+    arcs = list(graph.edges())
     labels = graph.groups
     c = graph.num_groups
     sizes = graph.group_sizes().astype(float)

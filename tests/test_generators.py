@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.graphs.generators import (
+    _sbm_edges,
     erdos_renyi,
     gaussian_points,
     preferential_attachment,
@@ -121,3 +122,72 @@ class TestRandomGroupsGraph:
     def test_bad_degree_rejected(self):
         with pytest.raises(ValueError):
             random_groups_graph(10, 0.0, [1, 1])
+
+
+def _sbm_edges_dense_reference(sizes, p_intra, p_inter, rng, directed):
+    """Frozen copy of the dense-mask ``_sbm_edges`` body (``triu`` /
+    ``fill_diagonal`` on the Bernoulli matrix, then ``np.nonzero``)."""
+    offsets = np.cumsum([0] + list(sizes))
+    sources = [np.empty(0, dtype=np.int64)]
+    targets = [np.empty(0, dtype=np.int64)]
+    for gi in range(len(sizes)):
+        for gj in range(len(sizes)):
+            if not directed and gj < gi:
+                continue
+            p = p_intra if gi == gj else p_inter
+            if p == 0.0:
+                continue
+            mask = rng.random((sizes[gi], sizes[gj])) < p
+            if gi == gj:
+                if directed:
+                    np.fill_diagonal(mask, False)
+                else:
+                    mask = np.triu(mask, k=1)
+            ii, jj = np.nonzero(mask)
+            sources.append(ii + offsets[gi])
+            targets.append(jj + offsets[gj])
+    return np.concatenate(sources), np.concatenate(targets)
+
+
+class TestSBMEdgesReference:
+    """``_sbm_edges`` draws and orders exactly as the dense-mask body did."""
+
+    CASES = {
+        "single-node": ([1], 1.0, 0.0),
+        "size-1-blocks": ([1, 1, 1], 0.5, 0.5),
+        "mixed-with-size-1": ([5, 1, 7], 0.3, 0.1),
+        "intra-zero": ([6, 6], 0.0, 0.5),
+        "inter-zero": ([4, 3], 0.6, 0.0),
+        "all-one": ([3, 1, 4], 1.0, 1.0),
+        "paper-like": ([40, 25], 0.1, 0.02),
+    }
+
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_dense_mask_reference(self, case, directed):
+        sizes, p_intra, p_inter = self.CASES[case]
+        for seed in range(3):
+            rng_new = np.random.default_rng(seed)
+            rng_ref = np.random.default_rng(seed)
+            got = _sbm_edges(sizes, p_intra, p_inter, rng_new, directed)
+            ref = _sbm_edges_dense_reference(
+                sizes, p_intra, p_inter, rng_ref, directed
+            )
+            for a, b in zip(got, ref):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_probability_one_keeps_every_off_diagonal_pair(self, directed):
+        sizes = [3, 1, 4]
+        n = sum(sizes)
+        src, dst = _sbm_edges(sizes, 1.0, 1.0, np.random.default_rng(0),
+                              directed)
+        pairs = set(zip(src.tolist(), dst.tolist()))
+        expected = {
+            (u, v) for u in range(n) for v in range(n)
+            if u != v and (directed or u < v)
+        }
+        assert pairs == expected
+        assert src.size == len(expected)

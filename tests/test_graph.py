@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import GroupPartitionError, StorageError
 from repro.graphs import graph as graph_module
@@ -193,6 +194,108 @@ class TestCsrCacheInvalidation:
         assert delta.targets.tolist() == [1]
         assert delta.old_probabilities.tolist() == [0.9]
         assert delta.new_probabilities.tolist() == [0.3]
+
+
+_PROBS = st.one_of(
+    st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    st.floats(0.0, 1.0, allow_nan=False),
+)
+
+
+@st.composite
+def _edit_scripts(draw):
+    """A small graph (parallel arcs and self-loops are frequent at this
+    size) plus a script of reads, arc edits and cache-dropping adds."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(1, 4))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node, _PROBS), min_size=1,
+                          max_size=10))
+    step = st.one_of(
+        st.tuples(st.just("read_out")),
+        st.tuples(st.just("read_transpose")),
+        st.tuples(st.just("set"), st.integers(0, 10**6), _PROBS),
+        st.tuples(st.just("add"), node, node, _PROBS),
+    )
+    return directed, n, edges, draw(st.lists(step, max_size=20))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        a.tobytes() == b.tobytes()
+    )
+
+
+def _check_against_fresh(g):
+    """Every warm cache equals, bit for bit, a from-scratch build, whose
+    forward triple in turn equals a per-arc loop over ``edges()``."""
+    arcs = list(g.edges())
+    fresh = Graph(g.num_nodes, arcs, directed=True)
+    looped = (
+        np.cumsum([0] + [g.out_degree(u) for u in range(g.num_nodes)],
+                  dtype=np.int64),
+        np.array([v for _, v, _ in arcs], dtype=np.int64),
+        np.array([p for _, _, p in arcs], dtype=np.float64),
+    )
+    assert all(_same_bits(a, b)
+               for a, b in zip(fresh.out_adjacency(), looped))
+    for cached, build in ((g._csr_cache, fresh.out_adjacency),
+                          (g._transpose_cache, fresh.transpose_adjacency)):
+        if cached is not None:
+            assert all(_same_bits(a, b) for a, b in zip(cached, build()))
+
+
+class TestArcEditsPatchCaches:
+    """``set_arc_probability`` patches warm CSR caches copy-on-write."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(script=_edit_scripts())
+    def test_patched_caches_match_fresh_build(self, script):
+        directed, n, edges, steps = script
+        g = Graph(n, edges, directed=directed)
+        for step in steps:
+            if step[0] == "read_out":
+                g.out_adjacency()
+            elif step[0] == "read_transpose":
+                g.transpose_adjacency()
+            elif step[0] == "add":
+                _, u, v, p = step
+                g.add_edge(u, v, probability=p)
+                assert g._csr_cache is None and g._transpose_cache is None
+            else:
+                _, pick, p = step
+                arcs = list(g.edges())
+                u, v, _ = arcs[pick % len(arcs)]
+                held = [g._csr_cache, g._transpose_cache]
+                frozen = [None if t is None else tuple(a.copy() for a in t)
+                          for t in held]
+                g.set_arc_probability(u, v, p)
+                for before, snapshot, after in zip(
+                    held, frozen, (g._csr_cache, g._transpose_cache)
+                ):
+                    if before is None:
+                        assert after is None
+                        continue
+                    assert after[0] is before[0] and after[1] is before[1]
+                    assert after[2] is not before[2]
+                    assert all(_same_bits(a, b)
+                               for a, b in zip(before, snapshot))
+            _check_against_fresh(g)
+        g.transpose_adjacency()
+        _check_against_fresh(g)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_parallel_arcs_and_self_loops_patched(self, directed):
+        g = Graph(3, [(0, 1, 0.2), (1, 1, 0.3), (0, 1, 0.4), (2, 0, 0.5)],
+                  directed=directed)
+        g.transpose_adjacency()
+        g.set_arc_probability(0, 1, 0.75)
+        g.set_arc_probability(1, 1, 0.125)
+        _check_against_fresh(g)
+        out = dict(((u, v), p) for u, v, p in g.edges())
+        assert out[0, 1] == 0.75 and out[1, 1] == 0.125
+        if not directed:
+            assert out[1, 0] == 0.75
 
 
 class TestMutationLog:

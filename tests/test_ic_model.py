@@ -57,6 +57,22 @@ class TestExactGroupSpread:
         with pytest.raises(ValueError):
             exact_group_spread(g, [0])
 
+    @pytest.mark.parametrize("num_nodes,arcs", [(4, 21), (21, 1)])
+    def test_guard_refuses_before_listing_arcs(
+        self, monkeypatch, num_nodes, arcs
+    ):
+        # Parallel arcs push the count past 20 on a graph small enough in
+        # nodes; the guard must refuse from the counts alone.
+        g = Graph(num_nodes, [(0, 1, 0.5)] * arcs, directed=True,
+                  groups=[0] * num_nodes)
+
+        def no_listing():
+            raise AssertionError("edges() listed before the size guard")
+
+        monkeypatch.setattr(g, "edges", no_listing)
+        with pytest.raises(ValueError, match="instance too large"):
+            exact_group_spread(g, [0])
+
     def test_seed_in_group(self):
         g = _path_graph(0.0)
         values = exact_group_spread(g, [2])
