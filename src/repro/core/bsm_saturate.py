@@ -80,7 +80,7 @@ def bsm_saturate(
     check_fraction(epsilon, "epsilon", inclusive_low=False, inclusive_high=False)
     timer = Timer()
     start_calls = objective.oracle_calls
-    with timer:
+    with timer, objective.shared_gains():
         if greedy_result is None:
             greedy_result = greedy_utility(objective, k, candidates=candidates)
         if saturate_result is None:

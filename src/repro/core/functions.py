@@ -36,6 +36,13 @@ toward the lowest item id either way). ``oracle_calls`` counts *items
 scored* on both paths, so per-item/batch comparisons stay meaningful;
 ``batch_oracle_calls`` additionally counts the batched invocations.
 
+Gain table: inside :meth:`GroupedObjective.shared_gains`, ``gains_batch``
+keys rows on the state's ordered selection and computes each
+(selection, item) row once. Saturate and the BSM algorithms run ~20
+greedy loops per solve through a handful of distinct states, so most
+rows are served from the table; ``oracle_calls`` still counts every
+logical query and ``gain_rows_evaluated`` the rows actually computed.
+
 Multi-state batch oracle: :meth:`GroupedObjective.gains_states` is the
 transpose of :meth:`gains_batch` — one arriving item scored against
 *many* solution states at once, returning a
@@ -56,8 +63,9 @@ and both counters advance exactly as for :meth:`gains_batch`.
 from __future__ import annotations
 
 import abc
+import contextlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -115,6 +123,12 @@ class GroupedObjective(abc.ABC):
         self._group_weights = sizes / sizes.sum()
         self.oracle_calls = 0
         self.batch_oracle_calls = 0
+        self.gain_rows_evaluated = 0
+        # The open shared_gains() scope's table: ordered selection ->
+        # (sorted item ids, their gain rows). None outside a scope.
+        self._gain_table: Optional[
+            dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]
+        ] = None
 
     # -- public read-only properties ------------------------------------
     @property
@@ -142,6 +156,7 @@ class GroupedObjective(abc.ABC):
         """Zero the oracle-call counters (used between harness runs)."""
         self.oracle_calls = 0
         self.batch_oracle_calls = 0
+        self.gain_rows_evaluated = 0
 
     # -- state management -------------------------------------------------
     def new_state(self) -> ObjectiveState:
@@ -162,6 +177,26 @@ class GroupedObjective(abc.ABC):
             payload=self._copy_payload(state.payload),
         )
 
+    @contextlib.contextmanager
+    def shared_gains(self) -> Iterator[None]:
+        """Scope in which :meth:`gains_batch` computes each row only once.
+
+        The solvers that run many greedy loops from the empty state
+        (Saturate's probes, the BSM algorithms' covers) revisit the same
+        selections; inside the scope a row already computed for a
+        selection is served from a table instead of being re-scored.
+        Nested scopes share the outermost table, which is dropped when
+        that scope exits, normally or on an exception.
+        """
+        if self._gain_table is not None:
+            yield
+            return
+        self._gain_table = {}
+        try:
+            yield
+        finally:
+            self._gain_table = None
+
     def gains(self, state: ObjectiveState, item: int) -> np.ndarray:
         """Marginal group-gain vector ``f_i(S + v) - f_i(S)`` (no mutation)."""
         self._check_item(item)
@@ -177,12 +212,16 @@ class GroupedObjective(abc.ABC):
 
         Returns an array of shape ``(len(items), num_groups)`` whose row
         ``r`` equals ``self.gains(state, items[r])`` (items already in the
-        solution get zero rows) — bitwise on every backend except
-        facility location, whose one-hot matmul matches to the last ulp
-        (``GAIN_EPS`` absorbs it). One call scores the entire pool, so dense
-        backends can amortise the evaluation into a single vectorized
-        pass; ``oracle_calls`` still advances by ``len(items)`` to keep
-        per-item/batch comparisons apples-to-apples.
+        solution get zero rows), bitwise. One call scores the entire
+        pool, so dense backends can amortise the evaluation into a single
+        vectorized pass. Inside :meth:`shared_gains`, rows already
+        computed for the same ordered selection come from the table.
+
+        ``oracle_calls`` counts logical queries: it advances by
+        ``len(items)`` whether a row is computed or served from the
+        table, keeping per-item/batch comparisons apples-to-apples.
+        ``gain_rows_evaluated`` counts only the rows that reach
+        :meth:`_gains_batch`.
         """
         idx = np.asarray(items, dtype=np.int64).reshape(-1)
         if idx.size and (idx.min() < 0 or idx.max() >= self.num_items):
@@ -191,13 +230,49 @@ class GroupedObjective(abc.ABC):
             )
         self.oracle_calls += int(idx.size)
         self.batch_oracle_calls += 1
-        out = np.zeros((idx.size, self.num_groups), dtype=float)
-        if idx.size == 0:
-            return out
         novel = ~state.in_solution[idx]
+        if idx.size and novel.all():
+            return self._novel_gains(state, idx)
+        out = np.zeros((idx.size, self.num_groups), dtype=float)
         if novel.any():
-            out[novel] = self._gains_batch(state.payload, idx[novel])
+            out[novel] = self._novel_gains(state, idx[novel])
         return out
+
+    def _novel_gains(
+        self, state: ObjectiveState, items: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`_gains_batch` rows of ``items``, through the open table.
+
+        The table keys on the ordered selection: every solver state
+        starts at :meth:`new_state` and changes only through :meth:`add`,
+        so equal selections mean equal payloads. Each key holds the rows
+        computed so far, sorted by item id, so memory grows with the rows
+        actually evaluated, never with selections x ``num_items``.
+        """
+        table = self._gain_table
+        if table is None:
+            self.gain_rows_evaluated += int(items.size)
+            return self._gains_batch(state.payload, items)
+        key = tuple(state.selected)
+        known = table.get(key)
+        if known is None:
+            missing = ids = np.unique(items)
+            rows = self._gains_batch(state.payload, ids)
+        else:
+            ids, rows = known
+            pos = ids.searchsorted(items)
+            found = ids.take(pos, mode="clip") == items
+            if found.all():
+                return rows[pos]
+            missing = np.unique(items[~found])
+            at = np.searchsorted(ids, missing)
+            ids = np.insert(ids, at, missing)
+            rows = np.insert(
+                rows, at, self._gains_batch(state.payload, missing), axis=0
+            )
+        self.gain_rows_evaluated += int(missing.size)
+        table[key] = (ids, rows)
+        return rows[ids.searchsorted(items)]
 
     def gains_states(
         self, states: Sequence[ObjectiveState], item: int
@@ -207,9 +282,10 @@ class GroupedObjective(abc.ABC):
         Returns an array of shape ``(len(states), num_groups)`` whose row
         ``r`` equals ``self.gains(states[r], item)`` (states that already
         contain the item get zero rows) — bitwise except on facility
-        location, as in :meth:`gains_batch`. One call scores the arrival
-        against every live solution state — the per-arrival hot path of
-        the sieve/sliding-window/dynamic solvers — so dense backends can
+        location, whose one-hot matmul matches to the last ulp
+        (``GAIN_EPS`` absorbs it). One call scores the arrival against
+        every live solution state — the per-arrival hot path of the
+        sieve/sliding-window/dynamic solvers — so dense backends can
         amortise the evaluation into a single stacked pass.
         ``oracle_calls`` still advances by ``len(states)`` to keep
         per-item/batch comparisons apples-to-apples.
@@ -288,9 +364,9 @@ class GroupedObjective(abc.ABC):
 
         Generic fallback loops :meth:`_gains`; dense backends override
         this with one vectorized pass. Must be pure (no payload mutation)
-        and produce the rows :meth:`_gains` would: bitwise, except that
-        facility location's one-hot matmul reorders the group sums and
-        matches to the last ulp.
+        and produce the rows :meth:`_gains` would, bitwise, whichever
+        other items share the batch: :meth:`shared_gains` serves a row
+        computed in one batch to later calls.
         """
         out = np.zeros((items.size, self.num_groups), dtype=float)
         for r, item in enumerate(items):
@@ -304,8 +380,9 @@ class GroupedObjective(abc.ABC):
 
         Generic fallback loops :meth:`_gains`; dense backends override
         this with one stacked vectorized pass. Must be pure (no payload
-        mutation) and produce the rows :meth:`_gains` would, with the
-        same facility-location exception as :meth:`_gains_batch`.
+        mutation) and produce the rows :meth:`_gains` would: bitwise,
+        except that facility location's one-hot matmul reorders the group
+        sums and matches to the last ulp.
         """
         out = np.zeros((len(payloads), self.num_groups), dtype=float)
         for r, payload in enumerate(payloads):
@@ -549,6 +626,13 @@ class MinUtility(Scalarizer):
         return group_values_matrix.min(axis=1)
 
 
+def _last_axis_mean(values: np.ndarray) -> np.ndarray:
+    """``values.mean(axis=-1)``, bitwise (the same add-reduce, then one
+    division), without ``np.mean``'s Python wrapper: the truncated
+    surrogates are folded several times in every greedy round."""
+    return values.sum(axis=-1) / values.shape[-1]
+
+
 class TruncatedFairness(Scalarizer):
     """``g'_t(S) = (1/c) * sum_i min(1, f_i(S)/t)`` with threshold ``t > 0``.
 
@@ -564,13 +648,13 @@ class TruncatedFairness(Scalarizer):
 
     def value(self, group_values: np.ndarray, weights: np.ndarray) -> float:
         clipped = np.minimum(1.0, group_values / self.threshold)
-        return float(clipped.mean())
+        return float(_last_axis_mean(clipped))
 
     def value_batch(
         self, group_values_matrix: np.ndarray, weights: np.ndarray
     ) -> np.ndarray:
         clipped = np.minimum(1.0, group_values_matrix / self.threshold)
-        return clipped.mean(axis=1)
+        return _last_axis_mean(clipped)
 
     @property
     def target(self) -> Optional[float]:
@@ -594,7 +678,7 @@ class BSMCombined(Scalarizer):
         f_val = float(weights @ group_values)
         utility_part = min(1.0, f_val / self.utility_threshold)
         fairness_part = float(
-            np.minimum(1.0, group_values / self.fairness_threshold).mean()
+            _last_axis_mean(np.minimum(1.0, group_values / self.fairness_threshold))
         )
         return utility_part + fairness_part
 
@@ -603,9 +687,9 @@ class BSMCombined(Scalarizer):
     ) -> np.ndarray:
         f_vals = group_values_matrix @ weights
         utility_part = np.minimum(1.0, f_vals / self.utility_threshold)
-        fairness_part = np.minimum(
-            1.0, group_values_matrix / self.fairness_threshold
-        ).mean(axis=1)
+        fairness_part = _last_axis_mean(
+            np.minimum(1.0, group_values_matrix / self.fairness_threshold)
+        )
         return utility_part + fairness_part
 
     @property

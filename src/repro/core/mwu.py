@@ -77,7 +77,7 @@ def mwu_robust(
         raise ValueError(f"eta must be positive, got {eta}")
     timer = Timer()
     start_calls = objective.oracle_calls
-    with timer:
+    with timer, objective.shared_gains():
         c = objective.num_groups
         weights = np.full(c, 1.0 / c)
         best_state = None

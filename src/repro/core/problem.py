@@ -160,17 +160,13 @@ def _solve_streaming_tsgreedy(problem: BSMProblem, **kwargs: object) -> SolverRe
 def _solve_bsm_saturate_ls(problem: BSMProblem, **kwargs: object) -> SolverResult:
     """BSM-Saturate followed by swap local search on the weak floor."""
     from repro.core.local_search import polish
-    from repro.core.saturate import saturate as _saturate
 
     max_sweeps = int(kwargs.pop("max_sweeps", 5))
     base = bsm_saturate(problem.objective, problem.k, problem.tau, **kwargs)  # type: ignore[arg-type]
-    opt_g = base.extra.get("opt_g_approx")
-    if opt_g is None:
-        opt_g = _saturate(problem.objective, problem.k).fairness
     return polish(
         problem.objective,
         base,
-        fairness_floor=problem.tau * float(opt_g),
+        fairness_floor=problem.tau * base.extra["opt_g_approx"],
         max_sweeps=max_sweeps,
     )
 

@@ -113,7 +113,7 @@ def saturate(
             best_state = state
         return covered
 
-    with timer:
+    with timer, objective.shared_gains():
         upper = float(objective.max_group_values().min())
         if upper <= 0.0:
             # Some group derives zero utility from the entire ground set;

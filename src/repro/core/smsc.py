@@ -85,7 +85,7 @@ def smsc(
         )
     timer = Timer()
     start_calls = objective.oracle_calls
-    with timer:
+    with timer, objective.shared_gains():
         per_group_opt = np.zeros(2)
         for i in range(2):
             state, _ = greedy_max(objective, _SingleGroup(i), k, candidates=candidates)

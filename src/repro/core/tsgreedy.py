@@ -66,7 +66,7 @@ def bsm_tsgreedy(
     check_fraction(tau, "tau")
     timer = Timer()
     start_calls = objective.oracle_calls
-    with timer:
+    with timer, objective.shared_gains():
         if greedy_result is None:
             greedy_result = greedy_utility(objective, k, candidates=candidates)
         if tau == 0.0:

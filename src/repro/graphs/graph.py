@@ -8,8 +8,10 @@ arcs so that the influence and coverage code paths are identical for both.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,12 +23,15 @@ from repro.utils.validation import check_positive_int
 EdgeLike = Tuple[int, int]
 WeightedEdgeLike = Tuple[int, int, float]
 
-#: Arc records the mutation log keeps before it gives up. Dynamic
-#: workloads mutate a handful of arcs per event, so the log stays tiny;
-#: a whole-graph rewrite (``set_edge_probabilities``) or a bulk build
-#: (``add_edges``) would blow through any cap and is floored instead
-#: (see :meth:`Graph.mutations_since`).
+#: Arc records the mutation log keeps; past it the oldest half is
+#: dropped. Dynamic workloads mutate a handful of arcs per event, so the
+#: log stays small; a whole-graph rewrite (``set_edge_probabilities``)
+#: or a bulk build (``add_edges``) would blow through any cap and is
+#: floored instead (see :meth:`Graph.mutations_since`).
 MUTATION_LOG_LIMIT = 65_536
+
+#: Version of a mutation-log record; versions never decrease along the log.
+_record_version = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -273,10 +278,14 @@ class Graph:
             self._record_mutation(u, v, old, probability)
 
     def _record_mutation(self, u: int, v: int, old_p: float, new_p: float) -> None:
-        self._mutation_log.append((self._version, u, v, old_p, new_p))
-        if len(self._mutation_log) > MUTATION_LOG_LIMIT:
-            self._mutation_log.clear()
-            self._log_floor = self._version
+        log = self._mutation_log
+        log.append((self._version, u, v, old_p, new_p))
+        if len(log) > MUTATION_LOG_LIMIT:
+            # Drop the oldest half, cut after a whole version, so only
+            # consumers older than the cut fall back to a rebuild.
+            dropped = log[len(log) // 2 - 1][0]
+            del log[: bisect_right(log, dropped, key=_record_version)]
+            self._log_floor = dropped
 
     def mutations_since(self, version: int) -> Optional[GraphDelta]:
         """Arc deltas between ``version`` and the current version.
@@ -284,8 +293,9 @@ class Graph:
         Returns ``None`` when the log cannot replay from ``version`` —
         either the graph was rewritten wholesale
         (:meth:`set_edge_probabilities`) or built in bulk
-        (:meth:`add_edges`) after it, the log overflowed
-        ``MUTATION_LOG_LIMIT``, or ``version`` predates this object —
+        (:meth:`add_edges`) after it, the records after it were dropped
+        (an overflow past ``MUTATION_LOG_LIMIT`` drops the oldest half
+        of the log), or ``version`` predates this object —
         in which case the caller must rebuild from scratch. Successive
         mutations of the same arc are collapsed to one record carrying
         the oldest ``old_p`` and the newest ``new_p``; arcs whose
@@ -299,9 +309,9 @@ class Graph:
             return None
         first: dict[tuple[int, int], float] = {}
         last: dict[tuple[int, int], float] = {}
-        for ver, u, v, old_p, new_p in self._mutation_log:
-            if ver <= version:
-                continue
+        log = self._mutation_log
+        start = bisect_right(log, version, key=_record_version)
+        for _, u, v, old_p, new_p in islice(log, start, None):
             key = (u, v)
             if key not in first:
                 first[key] = old_p

@@ -124,8 +124,8 @@ class FacilityLocationObjective(GroupedObjective):
         # Batch-oracle precomputation: a transposed contiguous copy so a
         # candidate pool gathers whole rows (one memcpy each, instead of
         # strided column picks), and a one-hot (m, c) group-membership
-        # matrix reducing per-user deltas to group sums in a single BLAS
-        # matmul.
+        # matrix reducing the multi-state per-user deltas to group sums
+        # in a single BLAS matmul.
         self._benefits_t = np.ascontiguousarray(matrix.T)
         self._benefits_t.setflags(write=False)
         onehot = np.zeros((labels.size, self.num_groups), dtype=float)
@@ -157,12 +157,13 @@ class FacilityLocationObjective(GroupedObjective):
         self, payload: _FacilityPayload, items: np.ndarray
     ) -> np.ndarray:
         # (N, m) improvement each candidate offers every user (built
-        # in place on the row gather), reduced to (N, c) group sums in
-        # one matmul instead of N bincount passes.
+        # in place on the row gather), reduced to (N, c) group means in
+        # one flat bincount: each row is bitwise the per-item _gains, so
+        # it does not depend on which other items share the batch.
         delta = self._benefits_t[items]
         np.subtract(delta, payload.best, out=delta)
         np.maximum(delta, 0.0, out=delta)
-        return (delta @ self._group_onehot) / self._group_sizes
+        return self._group_means(delta, self._labels)
 
     def _gains_states(
         self, payloads: Sequence[_FacilityPayload], item: int
@@ -170,8 +171,9 @@ class FacilityLocationObjective(GroupedObjective):
         # One facility vs many solution states: stack the per-state
         # per-user bests into an (S, m) matrix, subtract them from the
         # facility's (contiguous) benefit row in one pass, and reduce to
-        # (S, c) group sums with the same one-hot matmul the pool-batch
-        # path uses.
+        # (S, c) group sums with one matmul. BLAS orders the sums its own
+        # way, so rows match _gains to the last ulp; unlike the pool
+        # batch, no table reuses them.
         if not payloads:
             return np.zeros((0, self.num_groups), dtype=float)
         # Row-assignment fill (one memcpy per state) beats np.stack's

@@ -1,13 +1,16 @@
 """Batch-oracle layer: parity with the per-item oracle across objectives,
 scalarizers and solvers.
 
-Two families of guarantees are locked down here:
+Three families of guarantees are locked down here:
 
 * **oracle parity** — ``gains_batch`` returns exactly the rows that
   stacking per-item ``gains`` calls would, for every concrete backend
   (vectorized coverage / facility / influence / recommendation /
   summarization paths) and for the generic :class:`PerUserObjective`
   fallback;
+* **gain-table parity** — inside ``shared_gains()`` the same calls
+  return the same rows and advance the same counters, while each
+  (selection, item) row is evaluated once;
 * **solver parity** — ``lazy=True`` and ``lazy=False`` greedy pick
   *identical* solutions on seeded instances, including against frozen
   reference implementations of the seed's per-item CELF and plain loops
@@ -18,6 +21,7 @@ Two families of guarantees are locked down here:
 from __future__ import annotations
 
 import heapq
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -36,6 +40,8 @@ from repro.core.functions import (
     WeightedCombination,
 )
 from repro.core.greedy import GAIN_EPS, greedy_max, threshold_greedy_max
+from repro.core.problem import BSMProblem
+from repro.datasets.registry import load_dataset
 from repro.graphs.generators import random_groups_graph
 from repro.problems.coverage import CoverageObjective
 from repro.problems.facility import FacilityLocationObjective
@@ -190,15 +196,11 @@ def per_item_celf(
 # Oracle parity
 # ---------------------------------------------------------------------------
 def _assert_gains_match(domain: str, batch, per_item) -> None:
-    if domain == "facility":
-        # The facility batch path reduces per-user deltas with one BLAS
-        # matmul whose accumulation order differs from the per-item
-        # bincount, so agreement is to the last ulp rather than bitwise
-        # (GAIN_EPS in the solvers absorbs this; solutions stay
-        # identical — see TestSolverParity).
-        np.testing.assert_allclose(batch, per_item, rtol=1e-12, atol=1e-14)
-    else:
-        np.testing.assert_array_equal(batch, per_item)
+    # Every dense pool batch counts in integers or reduces with bincount
+    # in the per-item order, so its rows are bitwise the per-item rows
+    # (the gain table relies on it: a row must not depend on which items
+    # shared its batch).
+    np.testing.assert_array_equal(batch, per_item, err_msg=domain)
 
 
 class TestGainsBatchParity:
@@ -292,6 +294,134 @@ class TestGainsBatchParity:
         objective.gains_batch(state, list(range(objective.num_items)))
         np.testing.assert_array_equal(state.group_values, before)
         np.testing.assert_array_equal(state.payload.covered, payload_covered)
+
+
+# ---------------------------------------------------------------------------
+# One gain table per solve (GroupedObjective.shared_gains)
+# ---------------------------------------------------------------------------
+#: Interleaved (selection, items) calls: revisited selections, repeated
+#: items, items already in the selection, an empty pool, and full pools
+#: (``None``) before and after partial ones.
+TABLE_SCRIPT = [
+    ((), None),
+    ((0,), [5, 2, 2, 7]),
+    ((), [4, 1]),
+    ((0, 3), [0, 3, 4]),
+    ((0,), None),
+    ((0, 3), []),
+    ((3,), [2, 6, 2]),
+    ((0, 3), None),
+    ((0, 3, 1), [1, 2, 5]),
+    ((3,), None),
+    ((0,), [7, 5]),
+    ((), None),
+]
+
+
+def _run_script(objective: GroupedObjective) -> list[np.ndarray]:
+    full = list(range(objective.num_items))
+    return [
+        objective.gains_batch(
+            objective.state_of(prefix), full if items is None else items
+        )
+        for prefix, items in TABLE_SCRIPT
+    ]
+
+
+TABLE_DOMAINS = {**DOMAINS, "per_user": _per_user}
+
+
+class TestSharedGainTable:
+    @pytest.mark.parametrize("domain", sorted(TABLE_DOMAINS))
+    def test_rows_and_counters_match_outside_scope(self, domain):
+        outside, inside = TABLE_DOMAINS[domain](), TABLE_DOMAINS[domain]()
+        expected = _run_script(outside)
+        with inside.shared_gains():
+            got = _run_script(inside)
+            stored = sum(ids.size for ids, _ in inside._gain_table.values())
+        for want, row in zip(expected, got):
+            assert row.shape == want.shape
+            np.testing.assert_array_equal(row, want, err_msg=domain)
+        assert inside.oracle_calls == outside.oracle_calls
+        assert inside.batch_oracle_calls == outside.batch_oracle_calls
+        # Memory is the rows actually evaluated, each computed once.
+        assert stored == inside.gain_rows_evaluated
+        assert inside.gain_rows_evaluated < outside.gain_rows_evaluated
+
+    def test_served_rows_count_as_logical_queries(self):
+        objective = _coverage()
+        state = objective.new_state()
+        pool = list(range(objective.num_items))
+        with objective.shared_gains():
+            objective.gains_batch(state, pool)
+            objective.gains_batch(objective.new_state(), pool)
+        assert objective.oracle_calls == 2 * len(pool)
+        assert objective.batch_oracle_calls == 2
+        assert objective.gain_rows_evaluated == len(pool)
+        objective.reset_counter()
+        assert objective.gain_rows_evaluated == 0
+
+    def test_out_of_range_raises_inside_scope(self):
+        objective = _coverage()
+        with objective.shared_gains():
+            state = objective.new_state()
+            objective.gains_batch(state, [0, 1])
+            with pytest.raises(IndexError):
+                objective.gains_batch(state, [0, objective.num_items])
+            with pytest.raises(IndexError):
+                objective.gains_batch(state, [-1])
+
+    def test_nested_scopes_share_one_table(self):
+        objective = _facility()
+        with objective.shared_gains():
+            table = objective._gain_table
+            objective.gains_batch(objective.new_state(), [0, 1, 2])
+            with objective.shared_gains():
+                assert objective._gain_table is table
+                objective.gains_batch(objective.new_state(), [1, 2])
+            assert objective._gain_table is table
+        assert objective._gain_table is None
+        assert objective.gain_rows_evaluated == 3
+
+    def test_exception_drops_the_table(self):
+        objective = _coverage()
+        with pytest.raises(RuntimeError):
+            with objective.shared_gains():
+                with objective.shared_gains():
+                    objective.gains_batch(objective.new_state(), [0, 1])
+                    raise RuntimeError("probe failed")
+        assert objective._gain_table is None
+        objective.gains_batch(objective.new_state(), [0, 1])
+        assert objective.gain_rows_evaluated == 4
+
+    @pytest.mark.parametrize("algorithm", ["bsm-tsgreedy", "bsm-saturate"])
+    @pytest.mark.parametrize(
+        "dataset", ["rand-fl-c2", "rand-im-c2", "rec-latent-c2", "summ-blobs-c2"]
+    )
+    def test_bsm_solve_evaluates_a_fraction_of_its_rows(
+        self, dataset, algorithm, monkeypatch
+    ):
+        """The serving benchmark's BSM requests (k=5, tau=0.5, the
+        objective a warm session builds) revisit most of their rows."""
+        data = load_dataset(dataset, seed=0)
+        objective = (
+            InfluenceObjective.from_graph(data.graph, 2_000, seed=0)
+            if data.kind == "influence"
+            else data.objective
+        )
+        problem = BSMProblem(objective, k=5, tau=0.5)
+        objective.reset_counter()
+        shared = problem.solve(algorithm)
+        evaluated = objective.gain_rows_evaluated
+        monkeypatch.setattr(
+            GroupedObjective, "shared_gains", lambda self: nullcontext()
+        )
+        objective.reset_counter()
+        plain = problem.solve(algorithm)
+        logical = objective.gain_rows_evaluated
+        assert shared.solution == plain.solution
+        assert shared.oracle_calls == plain.oracle_calls
+        assert evaluated <= 0.25 * logical
 
 
 # ---------------------------------------------------------------------------

@@ -404,6 +404,92 @@ class TestMutationLog:
         assert delta.old_probabilities.dtype == np.float64
         assert delta.num_arcs == 0
 
+    def test_log_overflow_keeps_newer_half(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "MUTATION_LOG_LIMIT", 4)
+        g = Graph(2, [(0, 1, 0.5)], directed=True)
+        v0 = g.version
+        versions = []
+        for i in range(5):
+            g.set_arc_probability(0, 1, 0.1 + 0.1 * i)
+            versions.append(g.version)
+        # The fifth record overflowed the log: the oldest half (the
+        # build's record and the first edit's) went, so only a consumer
+        # at v0 falls back to a rebuild.
+        assert g.mutations_since(v0) is None
+        for version in versions:
+            assert g.mutations_since(version) is not None
+        delta = g.mutations_since(versions[0])
+        assert delta.old_probabilities.tolist() == [0.1]
+        assert delta.new_probabilities.tolist() == [pytest.approx(0.5)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        limit=st.integers(1, 12),
+        directed=st.booleans(),
+        edits=st.lists(
+            st.tuples(
+                st.integers(0, 3), st.sampled_from([0.1, 0.25, 0.5, 0.9])
+            ),
+            max_size=40,
+        ),
+    )
+    def test_replay_matches_full_history_scan(self, limit, directed, edits):
+        """Every replayable version gives the delta of the whole history.
+
+        The graph has a parallel arc and a self-loop, so one edit logs
+        one to four records; small limits overflow the log mid-stream.
+        """
+        history: list[tuple[int, int, int, float, float]] = []
+        record = Graph._record_mutation
+
+        def spy(self, u, v, old_p, new_p):
+            history.append((self._version, u, v, old_p, new_p))
+            record(self, u, v, old_p, new_p)
+
+        arcs = [(0, 1), (1, 2), (2, 0), (2, 2)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "MUTATION_LOG_LIMIT", limit)
+            mp.setattr(Graph, "_record_mutation", spy)
+            g = Graph(
+                3,
+                [(0, 1, 0.3), (1, 2, 0.3), (2, 0, 0.3), (0, 1, 0.6), (2, 2, 0.5)],
+                directed=directed,
+            )
+            for arc, probability in edits:
+                g.set_arc_probability(*arcs[arc], probability)
+                for version in range(g.version + 1):
+                    delta = g.mutations_since(version)
+                    if version < g._log_floor:
+                        assert delta is None
+                        continue
+                    expected = _linear_scan(history, version)
+                    assert list(
+                        zip(
+                            delta.sources.tolist(),
+                            delta.targets.tolist(),
+                            delta.old_probabilities.tolist(),
+                            delta.new_probabilities.tolist(),
+                        )
+                    ) == expected
+
+
+def _linear_scan(log, version):
+    """Frozen reference: the full-log scan ``mutations_since`` used to run."""
+    first: dict[tuple[int, int], float] = {}
+    last: dict[tuple[int, int], float] = {}
+    for ver, u, v, old_p, new_p in log:
+        if ver <= version:
+            continue
+        key = (u, v)
+        if key not in first:
+            first[key] = old_p
+        last[key] = new_p
+    return [
+        (u, v, first[u, v], last[u, v])
+        for (u, v) in first
+        if first[u, v] != last[u, v]
+    ]
+
 
 class TestAddEdges:
     """``add_edges`` leaves what the same ``add_edge`` loop leaves."""
