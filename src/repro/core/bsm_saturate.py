@@ -67,6 +67,8 @@ def bsm_saturate(
         ``False`` uses the theoretical budget, so ``|S|`` may exceed ``k``.
     greedy_result, saturate_result:
         Optional precomputed sub-routines (shared across a ``tau`` sweep).
+        Omitted ones come from the objective's sub-result memo, shared
+        with BSM-TSGreedy at the same ``k`` (see :func:`bsm_tsgreedy`).
 
     Returns
     -------
@@ -82,9 +84,9 @@ def bsm_saturate(
     start_calls = objective.oracle_calls
     with timer, objective.shared_gains():
         if greedy_result is None:
-            greedy_result = greedy_utility(objective, k, candidates=candidates)
+            greedy_result = objective.subresult(greedy_utility, k, candidates)
         if saturate_result is None:
-            saturate_result = saturate(objective, k, candidates=candidates)
+            saturate_result = objective.subresult(saturate, k, candidates)
         opt_f_approx = greedy_result.utility
         opt_g_approx = saturate_result.fairness
         c = objective.num_groups

@@ -89,7 +89,7 @@ class DynamicMaximizer:
         # Epoch of the objective's sampled state this maximizer's
         # solution was computed against (influence objectives bump it on
         # refresh(); static objectives never change, so 0 stays valid).
-        self._objective_epoch = getattr(objective, "repair_epoch", 0)
+        self._objective_epoch = objective.repair_epoch
 
     # -- public API ---------------------------------------------------------
     @property
@@ -173,10 +173,7 @@ class DynamicMaximizer:
     @property
     def stale(self) -> bool:
         """Whether the backing objective repaired past this solution."""
-        return (
-            getattr(self._objective, "repair_epoch", 0)
-            != self._objective_epoch
-        )
+        return self._objective.repair_epoch != self._objective_epoch
 
     def refresh(self, graph=None):
         """Repair the backing objective, then rebuild if anything moved.
@@ -201,9 +198,7 @@ class DynamicMaximizer:
             # probe state before recomputing the solution against it.
             self._empty = self._objective.new_state()
             self._rebuild()
-            self._objective_epoch = getattr(
-                self._objective, "repair_epoch", 0
-            )
+            self._objective_epoch = self._objective.repair_epoch
         return result
 
     def best(self) -> ObjectiveState:

@@ -43,6 +43,14 @@ greedy loops per solve through a handful of distinct states, so most
 rows are served from the table; ``oracle_calls`` still counts every
 logical query and ``gain_rows_evaluated`` the rows actually computed.
 
+Sub-result memo: :meth:`GroupedObjective.subresult` runs a sub-routine
+(the BSM algorithms' ``greedy_utility`` and ``saturate``) once per
+``(solver, k, candidates)`` and objective version
+(:attr:`GroupedObjective.repair_epoch`), and
+:meth:`GroupedObjective.max_group_values` goes through the same memo. A
+hit adds the stored ``oracle_calls`` / ``batch_oracle_calls`` back onto
+the counters, so every reported count is the one a recompute gives.
+
 Multi-state batch oracle: :meth:`GroupedObjective.gains_states` is the
 transpose of :meth:`gains_batch` — one arriving item scored against
 *many* solution states at once, returning a
@@ -65,12 +73,18 @@ from __future__ import annotations
 import abc
 import contextlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
 from repro.errors import GroupPartitionError
 
+_T = TypeVar("_T")
+
+#: Sub-results kept per objective (count-LRU). A BSM solve stores two
+#: per budget ``k`` (``S_f`` and ``S_g``) and one per version (the
+#: ground-set values), so the cap holds fifteen budgets' worth.
+MAX_SUBRESULTS = 32
 
 # ---------------------------------------------------------------------------
 # Objective state
@@ -129,6 +143,12 @@ class GroupedObjective(abc.ABC):
         self._gain_table: Optional[
             dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]
         ] = None
+        # Sub-result memo of the current version: key -> (value, the
+        # oracle_calls and batch_oracle_calls its computation consumed).
+        self._version = 0
+        self._subresults: dict[tuple, tuple[Any, int, int]] = {}
+        self.subresult_hits = 0
+        self.subresult_misses = 0
 
     # -- public read-only properties ------------------------------------
     @property
@@ -151,6 +171,22 @@ class GroupedObjective(abc.ABC):
     def group_weights(self) -> np.ndarray:
         """``m_i / m`` — weights tying ``f`` to the ``f_i``."""
         return self._group_weights
+
+    @property
+    def repair_epoch(self) -> int:
+        """Objective version: moves whenever the group values may change.
+
+        Static objectives stay at 0. Consumers holding derived state
+        (the dynamic maximizer, the sub-result memo) compare it to decide
+        whether to rebuild.
+        """
+        return self._version
+
+    def _advance_version(self) -> None:
+        """Record that the values changed: bump the version and drop
+        every memoized sub-result of the old one."""
+        self._version += 1
+        self._subresults.clear()
 
     def reset_counter(self) -> None:
         """Zero the oracle-call counters (used between harness runs)."""
@@ -196,6 +232,71 @@ class GroupedObjective(abc.ABC):
             yield
         finally:
             self._gain_table = None
+
+    def subresult(
+        self,
+        solver: Callable[..., _T],
+        k: int,
+        candidates: Optional[Iterable[int]] = None,
+    ) -> _T:
+        """``solver(self, k, candidates=...)``, computed once per version.
+
+        Both BSM algorithms start from the same ``greedy_utility`` and
+        ``saturate`` runs, which depend only on the objective, ``k`` and
+        the candidate set, so they share them through this memo until
+        :attr:`repair_epoch` moves. The solvers read candidates as a
+        set, so the key (and the call) uses them sorted and
+        duplicate-free. The returned result is shared: treat it as
+        read-only. ``subresult_hits`` / ``subresult_misses`` count these
+        lookups.
+        """
+        cand = None if candidates is None else tuple(
+            np.unique(np.fromiter(candidates, dtype=np.int64)).tolist()
+        )
+        key = (solver, int(k), cand)
+        if key in self._subresults:
+            self.subresult_hits += 1
+        else:
+            self.subresult_misses += 1
+        return self._memoized(key, lambda: solver(self, k, candidates=cand))
+
+    def _memoized(self, key: tuple, compute: Callable[[], _T]) -> _T:
+        """``compute()`` once per key and version, counters replayed.
+
+        A hit adds the ``oracle_calls`` and ``batch_oracle_calls`` the
+        computation consumed back onto the counters, so every count a
+        solver reports equals a recompute's; ``gain_rows_evaluated``
+        counts only real work. The memo is a count-LRU of
+        :data:`MAX_SUBRESULTS` entries, emptied by
+        :meth:`_advance_version`.
+        """
+        memo = self._subresults
+        entry = memo.pop(key, None)
+        if entry is not None:
+            memo[key] = entry
+            value, calls, batch_calls = entry
+            self.oracle_calls += calls
+            self.batch_oracle_calls += batch_calls
+            return value
+        calls, batch_calls = self.oracle_calls, self.batch_oracle_calls
+        value = compute()
+        if len(memo) >= MAX_SUBRESULTS:
+            del memo[next(iter(memo))]
+        memo[key] = (
+            value,
+            self.oracle_calls - calls,
+            self.batch_oracle_calls - batch_calls,
+        )
+        return value
+
+    def subresult_stats(self) -> dict[str, int]:
+        """:meth:`subresult` hits and misses so far, and the entries
+        the memo holds now (the ground-set values included)."""
+        return {
+            "hits": self.subresult_hits,
+            "misses": self.subresult_misses,
+            "entries": len(self._subresults),
+        }
 
     def gains(self, state: ObjectiveState, item: int) -> np.ndarray:
         """Marginal group-gain vector ``f_i(S + v) - f_i(S)`` (no mutation)."""
@@ -333,9 +434,14 @@ class GroupedObjective(abc.ABC):
         """``(f_1(V), ..., f_c(V))`` — utilities of the full ground set.
 
         Upper-bounds every ``f_i`` by monotonicity; used by Saturate to
-        initialise its bisection interval.
+        initialise its bisection interval and by MWU to scale its
+        weights. Computed once per version (:meth:`_memoized`); each
+        call returns its own copy.
         """
-        return self.evaluate(range(self.num_items))
+        return self._memoized(
+            ("max_group_values",),
+            lambda: self.evaluate(range(self.num_items)),
+        ).copy()
 
     # -- scalar conveniences ----------------------------------------------
     def utility(self, state: ObjectiveState) -> float:

@@ -54,6 +54,10 @@ def bsm_tsgreedy(
         Optional precomputed sub-routine outputs. The harness sweeps
         ``tau`` with fixed ``k`` and reuses ``S_f``/``S_g`` across the
         sweep, exactly as a careful implementation of the paper would.
+        Omitted ones come from the objective's sub-result memo
+        (:meth:`~repro.core.functions.GroupedObjective.subresult`), so
+        repeated solves at one ``k`` compute them once per objective
+        version, and the reported ``oracle_calls`` still include them.
 
     Returns
     -------
@@ -68,7 +72,7 @@ def bsm_tsgreedy(
     start_calls = objective.oracle_calls
     with timer, objective.shared_gains():
         if greedy_result is None:
-            greedy_result = greedy_utility(objective, k, candidates=candidates)
+            greedy_result = objective.subresult(greedy_utility, k, candidates)
         if tau == 0.0:
             # No fairness constraint: BSM collapses to SM (Section 3).
             state = objective.state_of(greedy_result.solution)
@@ -76,7 +80,7 @@ def bsm_tsgreedy(
             k_prime = len(greedy_result.solution)
         else:
             if saturate_result is None:
-                saturate_result = saturate(objective, k, candidates=candidates)
+                saturate_result = objective.subresult(saturate, k, candidates)
             opt_g_approx = saturate_result.fairness
             threshold = tau * opt_g_approx
             used_fallback = False

@@ -10,6 +10,10 @@ Implementation notes mirroring the paper's Section 5:
 * ``Greedy``/``Saturate`` sub-routine outputs are computed once per
   ``(dataset, k)`` and shared across the ``tau`` sweep and across the BSM
   algorithms — their curves are plotted as flat lines in the figures.
+  The runners pass them to the BSM solvers explicitly, so the BSM rows'
+  ``oracle_calls`` exclude the sub-routines. (A BSM solve called without
+  them, as the service does, takes them from the objective's sub-result
+  memo instead and counts them.)
 * For influence instances the greedy runs on RIS estimates, but reported
   ``f(S)``/``g(S)`` come from independent Monte-Carlo simulation
   (``mc_simulations``; the paper uses 10,000).

@@ -97,10 +97,6 @@ class InfluenceObjective(GroupedObjective):
             )
         self._root_groups = collection.root_groups
         self._group_counts = collection.group_counts.astype(float)
-        #: Bumped whenever :meth:`refresh` changes the sampled state —
-        #: consumers holding derived state (e.g. the dynamic maximizer)
-        #: compare it to decide whether to rebuild.
-        self.repair_epoch = 0
         # Graph binding, set by from_graph: refresh() needs the source
         # graph, its version at sampling time and the sampling config to
         # repair or (on unreplayable deltas) resample.
@@ -287,8 +283,10 @@ class InfluenceObjective(GroupedObjective):
         inverted index is patched in place; when it is not (whole-graph
         rewrite, log overflow), the collection is resampled from scratch
         under the same configuration. Either way the objective ends
-        consistent with the current graph and :attr:`repair_epoch` is
-        bumped iff the sampled state changed. Repair and resample run
+        consistent with the current graph, and :attr:`repair_epoch` is
+        bumped, dropping every memoized sub-result
+        (:meth:`~repro.core.functions.GroupedObjective.subresult`), iff
+        the sampled state changed. Repair and resample run
         under the sampling law the objective was built with (its
         ``workers``), so a collection never mixes the two laws' sets.
 
@@ -363,7 +361,7 @@ class InfluenceObjective(GroupedObjective):
                 self._repair_inverted_index(result.affected)
         self._graph_version = to_version
         if result.sets_repaired:
-            self.repair_epoch += 1
+            self._advance_version()
         return result
 
     def _repair_inverted_index(self, affected: np.ndarray) -> None:

@@ -10,6 +10,15 @@ instances. All of it sits behind byte-budgeted LRU caches
 every cache reports hit/miss statistics that the service surfaces in
 responses.
 
+Each warm objective also carries its own sub-result memo: BSM solves
+take the ``greedy_utility`` and ``saturate`` results they start from
+(``S_f`` and ``S_g``) from it until the objective's version moves, so
+repeated BSM requests at one ``k`` compute them once
+(:meth:`~repro.core.functions.GroupedObjective.subresult`). Top-level
+``greedy`` and ``saturate`` requests always compute their answers. The
+``subresults`` block of :meth:`SolverSession.stats` sums the memo's
+hits, misses and entries over the session's objectives.
+
 Two registries hold sessions. The ``repro serve`` engine
 (:class:`~repro.service.engine.ServiceEngine`) keeps its own LRU of
 sessions keyed by ``(dataset, seed, store, memory budget)``. The
@@ -415,6 +424,26 @@ class SolverSession:
             info["on_disk_bytes"] += int(data.get("on_disk_bytes", 0))
         return info
 
+    def _subresult_stats(self) -> dict[str, int]:
+        """Sub-result memo counters summed over the warm objectives.
+
+        ``hits`` says whether BSM solves reused ``S_f`` / ``S_g``
+        (:meth:`~repro.core.functions.GroupedObjective.subresult`);
+        ``misses`` counts the computed ones since each objective was
+        built.
+        """
+        if self.dataset.kind in _STATIC_KINDS:
+            objectives = [self.dataset.objective]
+        else:
+            objectives = [
+                self._objectives.peek(key) for key in self._objectives.keys()
+            ]
+        totals = {"hits": 0, "misses": 0, "entries": 0}
+        for objective in objectives:
+            for name, value in objective.subresult_stats().items():
+                totals[name] += value
+        return totals
+
     def stats(self) -> dict[str, Any]:
         """JSON-safe cache statistics (embedded in service responses)."""
         return {
@@ -426,6 +455,7 @@ class SolverSession:
             "evaluation": self._evaluations.stats.as_dict(),
             "dynamic_instances": len(self._dynamic),
             "dynamic": self._dynamic.stats.as_dict(),
+            "subresults": self._subresult_stats(),
             "repair": {
                 "repairs": self.repairs,
                 "full_resamples": self.full_resamples,

@@ -402,21 +402,28 @@ class TestSharedGainTable:
         self, dataset, algorithm, monkeypatch
     ):
         """The serving benchmark's BSM requests (k=5, tau=0.5, the
-        objective a warm session builds) revisit most of their rows."""
-        data = load_dataset(dataset, seed=0)
-        objective = (
-            InfluenceObjective.from_graph(data.graph, 2_000, seed=0)
-            if data.kind == "influence"
-            else data.objective
-        )
-        problem = BSMProblem(objective, k=5, tau=0.5)
-        objective.reset_counter()
+        objective a warm session builds) revisit most of their rows.
+
+        Each solve runs on its own fresh objective, so both compute
+        their Greedy and Saturate sub-routines rather than taking them
+        from the sub-result memo."""
+
+        def fresh_problem():
+            data = load_dataset(dataset, seed=0)
+            objective = (
+                InfluenceObjective.from_graph(data.graph, 2_000, seed=0)
+                if data.kind == "influence"
+                else data.objective
+            )
+            return objective, BSMProblem(objective, k=5, tau=0.5)
+
+        objective, problem = fresh_problem()
         shared = problem.solve(algorithm)
         evaluated = objective.gain_rows_evaluated
         monkeypatch.setattr(
             GroupedObjective, "shared_gains", lambda self: nullcontext()
         )
-        objective.reset_counter()
+        objective, problem = fresh_problem()
         plain = problem.solve(algorithm)
         logical = objective.gain_rows_evaluated
         assert shared.solution == plain.solution
