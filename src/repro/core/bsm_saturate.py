@@ -80,6 +80,10 @@ def bsm_saturate(
     check_positive_int(k, "k")
     check_fraction(tau, "tau")
     check_fraction(epsilon, "epsilon", inclusive_low=False, inclusive_high=False)
+    # Greedy, Saturate and every cover read the pool: a one-shot
+    # iterator must not be used up by the first of them.
+    if candidates is not None:
+        candidates = [int(v) for v in candidates]
     timer = Timer()
     start_calls = objective.oracle_calls
     with timer, objective.shared_gains():

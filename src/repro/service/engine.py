@@ -25,6 +25,17 @@ therefore *bitwise-identical* to sequential solves — pinned on all five
 domains by ``tests/test_service.py``. Shared-run figures
 (``oracle_calls``, ``runtime``) are reported on every coalesced
 response along with ``extra["coalesced_width"]``.
+
+Execution order
+---------------
+:meth:`ServiceEngine.plan` splits a batch into *units*: every coalesced
+group of two or more solves runs first, in order of first appearance,
+then every other request alone, in batch order. :meth:`handle_batch`
+runs the units in that order and returns the whole list. The shards of
+the TCP front-end (:mod:`repro.service.shards`) run the same units one
+``handle_batch`` call each and answer every unit's requests as soon as
+that unit finishes, so a request waits for the units planned before
+it, never for the ones after it.
 """
 
 from __future__ import annotations
@@ -165,15 +176,17 @@ class ServiceEngine:
         finally:
             self.latency.record(request.op, time.perf_counter() - start)
 
-    def handle_batch(self, requests: list[ServiceRequest]) -> list[Response]:
-        """Process concurrent requests, coalescing compatible solves.
+    def plan(self, requests: list[ServiceRequest]) -> list[list[int]]:
+        """The order :meth:`handle_batch` runs a batch in, as units.
 
-        A batch may mix wire versions (a v1 flat solve and a v2 typed
-        one coalesce together): the decoder hands over both as typed
-        payloads, so the group key never depends on how the request
-        arrived.
+        A unit is a list of positions in ``requests`` that one engine
+        call answers together: each coalesced group of two or more
+        solves (in order of first appearance) comes first, then every
+        other position alone, in order. A batch may mix wire versions (a
+        v1 flat solve and a v2 typed one coalesce together): the decoder
+        hands over both as typed payloads, so the group key never
+        depends on how the request arrived.
         """
-        responses: list[Optional[Response]] = [None] * len(requests)
         groups: dict[tuple, list[int]] = {}
         for pos, request in enumerate(requests):
             if request.op == "solve" and request.algorithm in COALESCABLE:
@@ -184,32 +197,47 @@ class ServiceEngine:
                     request.store, request.memory_budget,
                 )
                 groups.setdefault(key, []).append(pos)
-        for positions in groups.values():
-            if len(positions) < 2:
-                continue
-            start = time.perf_counter()
-            try:
-                coalesced = self._solve_coalesced(
-                    [requests[pos] for pos in positions]
-                )
-            except Exception as exc:  # noqa: BLE001 — service boundary
-                coalesced = [
-                    Response(
-                        op="solve", id=requests[pos].id, ok=False,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                    for pos in positions
-                ]
-            self.latency.record("solve", time.perf_counter() - start)
-            for pos, response in zip(positions, coalesced):
-                responses[pos] = response
-            self.requests_served += len(positions)
-            self.coalesced_requests += len(positions)
-            self.coalesced_runs += 1
-        return [
-            response if response is not None else self.handle(request)
-            for request, response in zip(requests, responses)
+        units = [positions for positions in groups.values() if len(positions) > 1]
+        grouped = {pos for positions in units for pos in positions}
+        return units + [
+            [pos] for pos in range(len(requests)) if pos not in grouped
         ]
+
+    def handle_batch(self, requests: list[ServiceRequest]) -> list[Response]:
+        """Process concurrent requests, coalescing compatible solves.
+
+        Runs the units of :meth:`plan` in order; the responses come back
+        in request order.
+        """
+        responses: list[Optional[Response]] = [None] * len(requests)
+        for unit in self.plan(requests):
+            members = [requests[pos] for pos in unit]
+            answers = (
+                self._handle_group(members) if len(members) > 1
+                else [self.handle(members[0])]
+            )
+            for pos, response in zip(unit, answers):
+                responses[pos] = response
+        return responses
+
+    def _handle_group(self, requests: list[ServiceRequest]) -> list[Response]:
+        """One coalesced group: a shared run, counted and timed as one."""
+        start = time.perf_counter()
+        try:
+            responses = self._solve_coalesced(requests)
+        except Exception as exc:  # noqa: BLE001 — service boundary
+            responses = [
+                Response(
+                    op="solve", id=request.id, ok=False,
+                    error=f"{type(exc).__name__}: {exc}",
+                )
+                for request in requests
+            ]
+        self.latency.record("solve", time.perf_counter() - start)
+        self.requests_served += len(requests)
+        self.coalesced_requests += len(requests)
+        self.coalesced_runs += 1
+        return responses
 
     def _dispatch(self, request: ServiceRequest) -> Response:
         op = request.op

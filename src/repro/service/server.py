@@ -29,11 +29,16 @@ Four mechanisms make the engines safe and fast under concurrency:
   solve). Routing affinity makes the per-shard window exactly as
   effective as the old global one: coalescable requests share a
   dataset, so they always share a queue.
+  The batch runs unit by unit (each coalesced group, then every other
+  request alone; :meth:`~repro.service.engine.ServiceEngine.plan`), and
+  each request is answered when its own unit finishes, so a cheap
+  request never waits for a slow solve planned after it.
 * **Bounded executor hand-off.** Shard batches run on the persistent
   thread :class:`~repro.utils.parallel.WorkerPool` via
   ``loop.run_in_executor`` under a per-shard in-flight semaphore
-  (``max_inflight``). The event loop never blocks on a solve or a
-  shard pipe round-trip.
+  (``max_inflight``), one executor hop per batch. The event loop never
+  blocks on a solve or a shard pipe round-trip; units answered before
+  the batch returns reach it through ``call_soon_threadsafe``.
 * **Admission control.** A request is admitted only while the number of
   admitted-but-unanswered requests is below ``max_queue_depth``;
   beyond that the server answers immediately with ``ok: false,
@@ -52,17 +57,20 @@ one oversized-line error and closes that connection.
 
 An optional HTTP metrics sidecar (``metrics_port``) serves Prometheus
 text (``/metrics``): every :class:`ServerStats` counter, per-op
-latency quantiles over a sliding window, and per-shard queue-depth and
-dispatch gauges. The counters are the same objects the ``stats`` op
-reports, so a scrape and a ``stats`` response can be cross-checked.
+latency quantiles over a sliding window, and per-shard queue-depth,
+dispatch and unit counters. The counters are the same objects the
+``stats`` op reports, so a scrape and a ``stats`` response can be
+cross-checked.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import signal
 import time
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from typing import Any, Optional
 
@@ -274,7 +282,7 @@ class TCPServer:
         self._server.close()
         await self._server.wait_closed()
         # In-flight lines finish on their own: their futures resolve
-        # when the executor returns and each line task writes its own
+        # as their units are answered and each line task writes its own
         # responses. Lines arriving *during* the drain are answered
         # fast with "draining", so this converges.
         while True:
@@ -543,13 +551,40 @@ class TCPServer:
     async def _dispatch_batch(
         self, shard: int, batch: list[tuple[ServiceRequest, asyncio.Future]]
     ) -> None:
+        """Run one batch on its shard, answering each unit as it finishes.
+
+        The whole batch is one executor hop and one shard-lock hold. The
+        shard reports every unit but the last through ``on_answer`` on
+        the executor thread, which hands it to the loop with
+        ``call_soon_threadsafe``; the last unit is answered from the
+        executor's return, so a one-unit batch costs no extra wake-up.
+        Each future is resolved once and ``_pending`` drops once per
+        admitted request, whichever way its answer arrives; if the shard
+        call raises, only the requests still unanswered get the error.
+        """
         loop = asyncio.get_running_loop()
         requests = [request for request, _ in batch]
+        answered = [False] * len(batch)
+
+        def answer(positions: Iterable[int], responses: list[Response]) -> None:
+            for pos, response in zip(positions, responses):
+                if answered[pos]:
+                    continue
+                answered[pos] = True
+                self._pending -= 1
+                future = batch[pos][1]
+                if not future.done():
+                    future.set_result(response)
+
+        def on_answer(positions: list[int], responses: list[Response]) -> None:
+            loop.call_soon_threadsafe(answer, positions, responses)
+
         try:
-            # The pool raises on a reply of the wrong length, so every
-            # admitted request gets exactly one response below.
             responses = await loop.run_in_executor(
-                self._pool, self._shard_pool.handle_batch, shard, requests
+                self._pool,
+                functools.partial(self._shard_pool.handle_batch, on_answer=on_answer),
+                shard,
+                requests,
             )
         except Exception as exc:  # noqa: BLE001 — service boundary
             responses = [
@@ -561,10 +596,7 @@ class TCPServer:
             ]
         finally:
             self._inflights[shard].release()
-        for (_, future), response in zip(batch, responses):
-            self._pending -= 1
-            if not future.done():
-                future.set_result(response)
+        answer(range(len(batch)), responses)
 
     # -- telemetry ---------------------------------------------------------
     def stats_dict(self) -> dict[str, Any]:
@@ -674,6 +706,12 @@ class TCPServer:
             "repro_shard_requests_total", "counter",
             "Requests dispatched per shard.",
             [(f'{{shard="{e["shard"]}"}}', e["requests"])
+             for e in telemetry],
+        )
+        emit(
+            "repro_shard_units_total", "counter",
+            "Engine units answered per shard (minus dispatches: early answers).",
+            [(f'{{shard="{e["shard"]}"}}', e["units"])
              for e in telemetry],
         )
         return "\n".join(lines) + "\n"

@@ -18,15 +18,25 @@ than ``hash()``: Python string hashing is salted per process, and the
 routing key must be stable across front-end restarts for operators
 reasoning about shard load.
 
-Transport framing: the front-end sends one pipe message per batch — the
-list of typed requests the decoder produced — and receives one message
-back, the list of :class:`~repro.service.protocol.Response` objects in
-request order. Both are pickled by the pipe. That is safe because only
-the front-end and the shard processes it started ever talk over a
-shard pipe; nothing read from a socket is unpickled, since network
-input is JSON and goes through the decoder before it reaches a shard.
-A batch that contains a ``shutdown`` op is answered, then the worker
-exits; ``None`` or EOF on the pipe stops it too.
+Transport framing: a shard runs a batch as the units of
+:meth:`~repro.service.engine.ServiceEngine.plan` (each coalesced group,
+then every other request alone), one ``engine.handle_batch`` call per
+unit, and answers each unit as it finishes. The front-end sends one
+pipe message per batch, the list of typed requests the decoder
+produced; the child sends back one ``(positions, responses)`` message
+per unit, and the parent reads them until every position is answered.
+Both kinds of shard hand every unit but the one that completes the
+batch to the caller's ``on_answer(positions, responses)`` as it
+arrives, and return the whole response list in request order. A unit
+that answers the wrong count answers each of its requests with an
+internal error; positions a dead child never answered get ``exited
+mid-request``; answers that already arrived stand. Messages are pickled
+by the pipe. That is safe because only the front-end and the shard
+processes it started ever talk over a shard pipe; nothing read from a
+socket is unpickled, since network input is JSON and goes through the
+decoder before it reaches a shard. A batch that contains a
+``shutdown`` op is answered, then the worker exits; ``None`` or EOF on
+the pipe stops it too.
 
 Determinism: each shard is a full engine with the same construction
 knobs, and the engine is deterministic per request stream. Because
@@ -41,6 +51,7 @@ from __future__ import annotations
 
 import threading
 import zlib
+from collections.abc import Callable, Iterable, Iterator
 from multiprocessing.connection import Connection
 from typing import Any, Optional
 
@@ -64,10 +75,74 @@ def shard_for_dataset(dataset: str, num_shards: int) -> int:
     return zlib.crc32(dataset.encode("utf-8")) % num_shards
 
 
+#: ``on_answer(positions, responses)``: one unit's answers, reported
+#: from the thread that runs the batch, before the batch returns.
+AnswerCallback = Callable[[list[int], list[Response]], None]
+
+
+def _run_units(
+    engine: ServiceEngine, requests: list[ServiceRequest]
+) -> Iterator[tuple[list[int], list[Response]]]:
+    """Run a batch unit by unit, yielding each unit's answers in turn."""
+    for unit in engine.plan(requests):
+        yield unit, engine.handle_batch([requests[pos] for pos in unit])
+
+
+def _gather(
+    shard: LocalShard | EngineShard,
+    requests: list[ServiceRequest],
+    units: Iterable[tuple[list[int], list[Response]]],
+    on_answer: Optional[AnswerCallback],
+) -> list[Response]:
+    """Collect a batch's units into one response list in request order.
+
+    Every unit but the one that completes the batch also goes to
+    ``on_answer`` as it arrives. A unit of the wrong length answers each
+    of its requests with an internal error; positions still unanswered
+    when ``units`` runs out (a dead child) answer ``exited mid-request``.
+    """
+    if not requests:
+        return []
+    answers: list[Optional[Response]] = [None] * len(requests)
+    left = len(requests)
+    for positions, responses in units:
+        shard.units += 1
+        if len(responses) != len(positions):
+            responses = [
+                _error(
+                    requests[pos],
+                    f"internal error: shard {shard.index} answered "
+                    f"{len(responses)} responses to {len(positions)} requests",
+                )
+                for pos in positions
+            ]
+        for pos, response in zip(positions, responses):
+            answers[pos] = response
+        left -= len(positions)
+        if not left:
+            break
+        if on_answer is not None:
+            on_answer(positions, responses)
+    return [
+        answer
+        if answer is not None
+        else _error(request, f"shard {shard.index} exited mid-request")
+        for answer, request in zip(answers, requests)
+    ]
+
+
+def _error(request: ServiceRequest, message: str) -> Response:
+    """An ``ok: false`` answer worded like the error a batch would raise."""
+    return Response(
+        op=request.op, id=request.id, ok=False, error=f"RuntimeError: {message}"
+    )
+
+
 def _shard_worker_main(  # pragma: no cover — runs in the child process
     conn: Connection, engine_kwargs: dict[str, Any]
 ) -> None:
-    """Entry point of one shard process: answer typed batches over the pipe."""
+    """Entry point of one shard process: answer typed batches over the pipe,
+    one message per unit."""
     # A fork copies the parent's pool registry but none of its worker
     # threads; drop it before the engine's first parallel dispatch.
     reset_pools_after_fork()
@@ -80,9 +155,9 @@ def _shard_worker_main(  # pragma: no cover — runs in the child process
                 break
             if requests is None:
                 break
-            responses = engine.handle_batch(requests)
             try:
-                conn.send(responses)
+                for answer in _run_units(engine, requests):
+                    conn.send(answer)
             except OSError:  # the front-end is gone
                 break
             if any(request.op == "shutdown" for request in requests):
@@ -106,13 +181,19 @@ class LocalShard:
         self.engine = engine
         self.dispatches = 0
         self.requests = 0
+        self.units = 0
         self._lock = threading.Lock()
 
-    def handle_batch(self, requests: list[ServiceRequest]) -> list[Response]:
+    def handle_batch(
+        self,
+        requests: list[ServiceRequest],
+        on_answer: Optional[AnswerCallback] = None,
+    ) -> list[Response]:
         with self._lock:
             self.dispatches += 1
             self.requests += len(requests)
-            return self.engine.handle_batch(requests)
+            units = _run_units(self.engine, requests)
+            return _gather(self, requests, units, on_answer)
 
     def close(self) -> None:
         """Nothing to stop: the engine lives and dies with the process."""
@@ -123,13 +204,14 @@ class EngineShard:
 
     ``handle_batch`` is called from the front-end's executor threads;
     the per-shard lock serialises pipe traffic (one request message,
-    one reply message) without ever blocking another shard.
+    one reply message per unit) without ever blocking another shard.
     """
 
     def __init__(self, index: int, engine_kwargs: dict[str, Any]) -> None:
         self.index = index
         self.dispatches = 0
         self.requests = 0
+        self.units = 0
         ctx = process_context()
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self._conn = parent_conn
@@ -147,7 +229,11 @@ class EngineShard:
     def alive(self) -> bool:
         return self._process.is_alive()
 
-    def handle_batch(self, requests: list[ServiceRequest]) -> list[Response]:
+    def handle_batch(
+        self,
+        requests: list[ServiceRequest],
+        on_answer: Optional[AnswerCallback] = None,
+    ) -> list[Response]:
         """Round-trip one typed batch through the shard process."""
         with self._lock:
             if not self._process.is_alive():
@@ -155,10 +241,15 @@ class EngineShard:
             self.dispatches += 1
             self.requests += len(requests)
             self._conn.send(requests)
+            return _gather(self, requests, self._replies(), on_answer)
+
+    def _replies(self) -> Iterator[tuple[list[int], list[Response]]]:
+        """The child's unit messages, until its end of the pipe closes."""
+        while True:
             try:
-                return self._conn.recv()
+                yield self._conn.recv()
             except EOFError:
-                raise RuntimeError(f"shard {self.index} exited mid-request") from None
+                return
 
     def close(self) -> None:
         """Shut the worker down (graceful shutdown op, then terminate)."""
@@ -222,15 +313,13 @@ class EngineShardPool:
         return shard_for_dataset(dataset, self.num_shards)
 
     def handle_batch(
-        self, shard_index: int, requests: list[ServiceRequest]
+        self,
+        shard_index: int,
+        requests: list[ServiceRequest],
+        on_answer: Optional[AnswerCallback] = None,
     ) -> list[Response]:
-        responses = self.shards[shard_index].handle_batch(requests)
-        if len(responses) != len(requests):
-            raise RuntimeError(
-                f"internal error: shard {shard_index} answered "
-                f"{len(responses)} responses to {len(requests)} requests"
-            )
-        return responses
+        """Run a batch on one shard; see the module's transport framing."""
+        return self.shards[shard_index].handle_batch(requests, on_answer)
 
     def stats_all(self, request: ServiceRequest) -> list[Response]:
         """Fan one ``stats`` request out to every shard, in shard order.
@@ -294,6 +383,7 @@ class EngineShardPool:
                 "alive": shard.alive,
                 "dispatches": shard.dispatches,
                 "requests": shard.requests,
+                "units": shard.units,
             }
             for shard in self.shards
         ]

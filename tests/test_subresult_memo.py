@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.baselines import greedy_utility
+from repro.core.bsm_saturate import bsm_saturate
 from repro.core.functions import MAX_SUBRESULTS
 from repro.core.problem import BSMProblem
 from repro.core.saturate import saturate
@@ -102,6 +103,19 @@ def test_candidates_key_the_memo_as_a_set():
     assert again.oracle_calls == first.oracle_calls
     bsm_tsgreedy(objective, 4, 0.5, candidates=pool[:30])
     assert objective.subresult_stats()["misses"] == 4
+
+
+@pytest.mark.parametrize("solver", [bsm_tsgreedy, bsm_saturate])
+def test_a_one_shot_candidate_iterator_matches_the_same_list(solver):
+    # Greedy, Saturate and the covers each read the pool, so an
+    # iterator used up by the first of them would starve the rest.
+    pool = list(range(40))
+    listed = solver(_fresh_objective("rand-fl-c2"), 4, 0.5, candidates=pool)
+    streamed = solver(_fresh_objective("rand-fl-c2"), 4, 0.5, candidates=iter(pool))
+    assert streamed.extra["opt_g_approx"] > 0.0
+    assert streamed.solution == listed.solution
+    assert streamed.group_values.tolist() == listed.group_values.tolist()
+    assert streamed.extra == listed.extra
 
 
 def test_memo_is_count_bounded():
