@@ -149,6 +149,8 @@ class GroupedObjective(abc.ABC):
         self._subresults: dict[tuple, tuple[Any, int, int]] = {}
         self.subresult_hits = 0
         self.subresult_misses = 0
+        # _group_means' ``(labels, bins)``, grown to the largest batch.
+        self._bins: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     # -- public read-only properties ------------------------------------
     @property
@@ -507,11 +509,23 @@ class GroupedObjective(abc.ABC):
         not: BLAS reorders the sums.)
         """
         rows, c = per_user.shape[0], self.num_groups
-        bins = labels + (np.arange(rows) * c)[:, None]
         sums = np.bincount(
-            bins.ravel(), weights=per_user.ravel(), minlength=rows * c
+            self._group_bins(rows, labels).ravel(),
+            weights=per_user.ravel(),
+            minlength=rows * c,
         )
         return sums.reshape(rows, c) / self._group_sizes
+
+    def _group_bins(self, rows: int, labels: np.ndarray) -> np.ndarray:
+        """Bins ``row * c + label`` of :meth:`_group_means`' first
+        ``rows`` rows, built once per ``labels`` and grown on demand."""
+        memo = self._bins
+        if memo is None or memo[0] is not labels or len(memo[1]) < rows:
+            memo = self._bins = (
+                labels,
+                labels + (np.arange(rows) * self.num_groups)[:, None],
+            )
+        return memo[1][:rows]
 
     def _apply(self, payload: Any, item: int) -> np.ndarray:
         """Commit ``item``; default recomputes gains then delegates."""

@@ -23,6 +23,13 @@ from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive_int, check_probability
 
 
+#: Most uniform draws one SBM chunk holds (2 MiB of doubles). Each block
+#: pair's Bernoulli matrix is drawn in row-major chunks of this many
+#: entries, so a cold build's peak memory no longer grows with the
+#: block sizes.
+SBM_CHUNK_DOUBLES = 1 << 18
+
+
 def _sbm_edges(
     sizes: Sequence[int],
     p_intra: float,
@@ -33,13 +40,14 @@ def _sbm_edges(
     """Sample SBM edges over contiguous blocks of ``sizes`` nodes.
 
     Returns ``(sources, targets)`` in sampling order: block pair by block
-    pair, row-major within a pair. Each block pair draws one dense
-    Bernoulli matrix (geometric skipping would be faster for very sparse
-    blocks but the paper's SBMs are dense enough that this is simpler
-    and fast) and keeps the flat positions of its hits. Within a diagonal
-    block the self-pairs are dropped from those index arrays (directed),
-    or everything but ``u < v`` is (undirected); the matrix itself is
-    never rewritten.
+    pair, row-major within a pair. Each block pair's Bernoulli matrix is
+    drawn in row-major chunks of at most :data:`SBM_CHUNK_DOUBLES`
+    uniforms (a chunk may end mid-row) from the one ``rng``. Chunks
+    consume the stream in the order one dense ``rng.random((n_i, n_j))``
+    call would, so the edges and the generator's final state are those
+    of the dense draw. Within a diagonal block the self-pairs are dropped
+    from the hit positions (directed), or everything but ``u < v`` is
+    (undirected).
     """
     offsets = np.cumsum([0] + list(sizes))
     sources: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
@@ -51,13 +59,15 @@ def _sbm_edges(
             p = p_intra if gi == gj else p_inter
             if p == 0.0:
                 continue
-            mask = rng.random((sizes[gi], sizes[gj])) < p
-            ii, jj = np.divmod(np.flatnonzero(mask), sizes[gj])
-            if gi == gj:
-                keep = ii != jj if directed else ii < jj
-                ii, jj = ii[keep], jj[keep]
-            sources.append(ii + offsets[gi])
-            targets.append(jj + offsets[gj])
+            total = sizes[gi] * sizes[gj]
+            for lo in range(0, total, SBM_CHUNK_DOUBLES):
+                draw = rng.random(min(SBM_CHUNK_DOUBLES, total - lo))
+                ii, jj = np.divmod(np.flatnonzero(draw < p) + lo, sizes[gj])
+                if gi == gj:
+                    keep = ii != jj if directed else ii < jj
+                    ii, jj = ii[keep], jj[keep]
+                sources.append(ii + offsets[gi])
+                targets.append(jj + offsets[gj])
     return np.concatenate(sources), np.concatenate(targets)
 
 

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import GroupPartitionError, StorageError
-from repro.utils.csr import invert_csr
+from repro.utils.csr import invert_csr, stable_order
 from repro.utils.validation import check_positive_int
 
 EdgeLike = Tuple[int, int]
@@ -29,6 +29,9 @@ WeightedEdgeLike = Tuple[int, int, float]
 #: or a bulk build (``add_edges``) would blow through any cap and is
 #: floored instead (see :meth:`Graph.mutations_since`).
 MUTATION_LOG_LIMIT = 65_536
+
+#: Arcs :meth:`Graph.edges` converts to Python objects at a time.
+_EDGES_PER_CHUNK = 1 << 16
 
 #: Version of a mutation-log record; versions never decrease along the log.
 _record_version = itemgetter(0)
@@ -56,7 +59,16 @@ class GraphDelta:
 
 
 class Graph:
-    """Adjacency-list graph over nodes ``0..n-1``.
+    """Array-backed graph over nodes ``0..n-1``.
+
+    Arcs live in three growable arrays ``(source, target, probability)``,
+    appended in insertion order: an undirected edge stores ``u -> v``
+    then ``v -> u``, a self-loop once. The first query after an append
+    sorts the arrays by source with a stable counting sort, so each
+    node's out-arcs keep their insertion order, and the sorted target and
+    probability arrays then *are* the forward CSR (:meth:`out_adjacency`)
+    every query reads. :class:`CSRGraph` is the read-only form of the
+    same class over pre-built (typically memory-mapped) CSR arrays.
 
     Parameters
     ----------
@@ -72,6 +84,9 @@ class Graph:
         fairness objectives. May be attached later via :meth:`set_groups`.
     """
 
+    #: Whether the mutators raise :class:`repro.errors.StorageError`.
+    read_only = False
+
     def __init__(
         self,
         num_nodes: int,
@@ -82,8 +97,15 @@ class Graph:
     ) -> None:
         self.num_nodes = check_positive_int(num_nodes, "num_nodes")
         self.directed = bool(directed)
-        self._succ: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        self._succ_p: list[list[float]] = [[] for _ in range(self.num_nodes)]
+        # Arc arrays; entries past ``_num_arcs`` are spare capacity.
+        self._src = np.empty(0, dtype=np.int64)
+        self._dst = np.empty(0, dtype=np.int64)
+        self._prob = np.empty(0, dtype=np.float64)
+        self._num_arcs = 0
+        # Row pointer of the arc arrays while they are sorted by source
+        # (they then hold exactly ``_num_arcs`` entries); None after an
+        # append until the next query sorts them.
+        self._indptr: Optional[np.ndarray] = None
         self._num_input_edges = 0
         self._groups: Optional[np.ndarray] = None
         self._num_groups = 0
@@ -113,18 +135,16 @@ class Graph:
     # ------------------------------------------------------------------
     def add_edge(self, u: int, v: int, *, probability: float = 1.0) -> None:
         """Add edge ``u -> v`` (and ``v -> u`` when undirected)."""
+        self._check_writable()
         self._check_node(u)
         self._check_node(v)
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"edge probability must be in [0, 1], got {probability}")
-        self._succ[u].append(v)
-        self._succ_p[u].append(probability)
-        if not self.directed and u != v:
-            self._succ[v].append(u)
-            self._succ_p[v].append(probability)
+        if self.directed or u == v:
+            self._append_arcs((u,), (v,), (probability,))
+        else:
+            self._append_arcs((u, v), (v, u), (probability, probability))
         self._num_input_edges += 1
-        self._csr_cache = None
-        self._transpose_cache = None
         self._version += 1
         # A new arc is a probability move from 0 (never live) to p.
         self._record_mutation(u, v, 0.0, probability)
@@ -146,6 +166,7 @@ class Graph:
         logged one by one: like :meth:`set_edge_probabilities`, the call
         floors the mutation log at the new version.
         """
+        self._check_writable()
         u = np.asarray(sources, dtype=np.int64)
         v = np.asarray(targets, dtype=np.int64)
         p = np.asarray(1.0 if probabilities is None else probabilities,
@@ -172,33 +193,40 @@ class Graph:
         if not u.size:
             return
         if self.directed:
-            src, dst, prob = u, v, p
+            self._append_arcs(u, v, p)
         else:
-            # Interleave each edge's arcs (u -> v, then v -> u; a self-loop
-            # once) so that a stable sort by source replays add_edge's
-            # per-node append order.
+            # Each edge's arcs in add_edge's order: u -> v, then v -> u
+            # (a self-loop once).
             keep = np.ones(2 * u.size, dtype=bool)
             keep[1::2] = u != v
-            src = np.column_stack((u, v)).ravel()[keep]
-            dst = np.column_stack((v, u)).ravel()[keep]
-            prob = np.repeat(p, 2)[keep]
-        order = np.argsort(src, kind="stable")
-        dst_list = dst[order].tolist()
-        prob_list = prob[order].tolist()
-        counts = np.bincount(src, minlength=n)
-        ends = np.cumsum(counts)
-        nodes = np.flatnonzero(counts)
-        for w, lo, hi in zip(
-            nodes.tolist(), (ends - counts)[nodes].tolist(), ends[nodes].tolist()
-        ):
-            self._succ[w].extend(dst_list[lo:hi])
-            self._succ_p[w].extend(prob_list[lo:hi])
+            self._append_arcs(
+                np.column_stack((u, v)).ravel()[keep],
+                np.column_stack((v, u)).ravel()[keep],
+                np.repeat(p, 2)[keep],
+            )
         self._num_input_edges += int(u.size)
-        self._csr_cache = None
-        self._transpose_cache = None
         self._version += int(u.size)
         self._mutation_log.clear()
         self._log_floor = self._version
+
+    def _append_arcs(self, src, dst, prob) -> None:
+        """Append arcs to the arc arrays, growing them by doubling, and
+        drop everything sorted out of them."""
+        lo = self._num_arcs
+        hi = lo + len(src)
+        # Sorted arrays are exactly full, so an append never writes into
+        # arrays the forward CSR handed out: it reallocates them first.
+        if hi > self._src.size:
+            capacity = max(hi, 2 * self._src.size)
+            self._src, self._dst, self._prob = (
+                np.concatenate((a[:lo], np.empty(capacity - lo, a.dtype)))
+                for a in (self._src, self._dst, self._prob)
+            )
+        self._src[lo:hi] = src
+        self._dst[lo:hi] = dst
+        self._prob[lo:hi] = prob
+        self._num_arcs = hi
+        self._indptr = self._csr_cache = self._transpose_cache = None
 
     def set_groups(self, groups: Sequence[int]) -> None:
         """Attach group labels; labels must be ``0..c-1`` with no empty group."""
@@ -222,9 +250,11 @@ class Graph:
 
         The paper's IM experiments use uniform ``p = 0.1`` or ``p = 0.01``.
         """
+        self._check_writable()
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {probability}")
-        self._succ_p = [[probability] * len(lst) for lst in self._succ]
+        # A fresh array: the forward CSR handed out may be the old one.
+        self._prob = np.full(self._prob.size, probability, dtype=np.float64)
         self._csr_cache = None
         self._transpose_cache = None
         self._version += 1
@@ -248,34 +278,53 @@ class Graph:
         handed out earlier are never written, so a caller (or a sampling
         pass in flight) keeps seeing the old values.
         """
+        self._check_writable()
         self._check_node(u)
         self._check_node(v)
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {probability}")
-        if all(w != v for w in self._succ[u]):
+        arcs = [(u, v)]
+        if not self.directed and u != v:
+            arcs.append((v, u))
+        indptr = self._sort_arcs()
+        ids = [
+            indptr[a] + np.flatnonzero(self._dst[indptr[a]:indptr[a + 1]] == b)
+            for a, b in arcs
+        ]
+        if not ids[0].size:
             raise KeyError(f"arc {u} -> {v} not present")
         # Bump before recording so the log entries carry the version the
         # mutation *creates* (matching add_edge, where consumers replay
         # "everything after version X").
         self._version += 1
-        arcs = [(u, v)]
-        if not self.directed and u != v:
-            arcs.append((v, u))
-        for a, b in arcs:
-            self._set_one_arc(a, b, probability)
-        self._csr_cache = _patch_probabilities(self._csr_cache, arcs, probability)
+        # Copy-on-write: the forward CSR handed out holds ``_prob`` itself.
+        prob = self._prob.copy()
+        for (a, b), hits in zip(arcs, ids):
+            for old in prob[hits].tolist():
+                self._record_mutation(a, b, old, probability)
+            prob[hits] = probability
+        self._prob = prob
+        if self._csr_cache is not None:
+            self._csr_cache = (*self._csr_cache[:2], prob)
         self._transpose_cache = _patch_probabilities(
             self._transpose_cache, [(b, a) for a, b in arcs], probability
         )
 
-    def _set_one_arc(self, u: int, v: int, probability: float) -> None:
-        hits = [i for i, w in enumerate(self._succ[u]) if w == v]
-        if not hits:
-            raise KeyError(f"arc {u} -> {v} not present")
-        for i in hits:
-            old = self._succ_p[u][i]
-            self._succ_p[u][i] = probability
-            self._record_mutation(u, v, old, probability)
+    def _sort_arcs(self) -> np.ndarray:
+        """Sort the arc arrays by source, stably, unless they are; returns
+        their row pointer."""
+        if self._indptr is None:
+            m = self._num_arcs
+            src = self._src[:m]
+            order = stable_order(src, self.num_nodes)
+            indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+            np.cumsum(np.bincount(src, minlength=self.num_nodes),
+                      out=indptr[1:])
+            self._src, self._dst, self._prob = (
+                src[order], self._dst[order], self._prob[order]
+            )
+            self._indptr = indptr
+        return self._indptr
 
     def _record_mutation(self, u: int, v: int, old_p: float, new_p: float) -> None:
         log = self._mutation_log
@@ -347,7 +396,7 @@ class Graph:
     @property
     def num_arcs(self) -> int:
         """Number of stored directed arcs (2x input edges when undirected)."""
-        return sum(len(lst) for lst in self._succ)
+        return self._num_arcs
 
     @property
     def version(self) -> int:
@@ -387,54 +436,48 @@ class Graph:
 
     def out_neighbors(self, u: int) -> list[int]:
         self._check_node(u)
-        return list(self._succ[u])
+        indptr, indices, _ = self.out_adjacency()
+        return indices[indptr[u]:indptr[u + 1]].tolist()
 
     def out_degree(self, u: int) -> int:
         self._check_node(u)
-        return len(self._succ[u])
+        indptr = self.out_adjacency()[0]
+        return int(indptr[u + 1] - indptr[u])
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
-        """Iterate stored arcs as ``(u, v, p)`` triples.
+        """Iterate stored arcs as ``(u, v, p)`` triples, in CSR order.
 
         For undirected graphs each input edge appears twice (both arcs).
         """
-        for u, (nbrs, probs) in enumerate(zip(self._succ, self._succ_p)):
-            for v, p in zip(nbrs, probs):
-                yield u, v, p
+        indptr, indices, probs = self.out_adjacency()
+        m = int(indptr[-1])
+        for lo in range(0, m, _EDGES_PER_CHUNK):
+            hi = min(lo + _EDGES_PER_CHUNK, m)
+            src = np.searchsorted(indptr, np.arange(lo, hi), side="right") - 1
+            yield from zip(
+                src.tolist(), indices[lo:hi].tolist(), probs[lo:hi].tolist()
+            )
 
     def out_adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR-style arrays ``(indptr, indices, probabilities)`` of out-arcs.
 
-        Cached; used by the cascade simulator and RIS sampler where Python
-        list traversal would dominate runtime. A cold build flattens the
-        adjacency lists with ``np.fromiter``; ``set_arc_probability``
-        patches a warm cache, and the other mutators drop it.
+        Cached; used by the cascade simulator and RIS sampler, and by
+        every query. A cold build sorts the arc arrays by source (or finds
+        them sorted) and hands out the sorted arrays themselves;
+        ``set_arc_probability`` patches a warm cache, and the other
+        mutators drop it.
         """
         if self._csr_cache is None:
-            n = self.num_nodes
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(
-                np.fromiter(map(len, self._succ), dtype=np.int64, count=n),
-                out=indptr[1:],
-            )
-            m = int(indptr[-1])
-            indices = np.fromiter(
-                chain.from_iterable(self._succ), dtype=np.int64, count=m
-            )
-            probs = np.fromiter(
-                chain.from_iterable(self._succ_p), dtype=np.float64, count=m
-            )
-            self._csr_cache = (indptr, indices, probs)
+            self._csr_cache = (self._sort_arcs(), self._dst, self._prob)
         return self._csr_cache
 
     def transpose_adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR arrays ``(indptr, indices, probabilities)`` of *in*-arcs.
 
         Equals ``transpose().out_adjacency()`` entry for entry (arcs of a
-        target sorted by source in insertion order) but is built directly
-        from the cached out-CSR with one stable argsort instead of
-        re-adding every arc to a fresh Python adjacency list — the RIS
-        sampler and IMM schedule hit this once per collection.
+        target sorted by source in insertion order): one stable counting
+        sort of the cached out-CSR by target (:func:`invert_csr`). The
+        RIS sampler and IMM schedule hit this once per collection.
         """
         if self._transpose_cache is None:
             indptr, indices, probs = self.out_adjacency()
@@ -468,6 +511,13 @@ class Graph:
         if not 0 <= u < self.num_nodes:
             raise IndexError(f"node {u} out of range [0, {self.num_nodes})")
 
+    def _check_writable(self) -> None:
+        if self.read_only:
+            raise StorageError(
+                "CSR-backed graphs are immutable; rebuild the graph (or load "
+                "with the text format) to mutate edges"
+            )
+
 
 def _patch_probabilities(
     adjacency: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]],
@@ -491,20 +541,22 @@ def _patch_probabilities(
 
 
 class CSRGraph(Graph):
-    """Immutable graph backed directly by CSR arrays.
+    """Read-only :class:`Graph` over pre-built CSR arrays.
 
     The out-of-core representation: both the forward and the transposed
     adjacency arrive pre-built (typically as read-only ``np.memmap``
-    views from :func:`repro.graphs.io.read_csr_graph`) and are served
-    as-is — no per-node Python adjacency lists are ever materialised, so
-    a million-node graph costs O(1) heap beyond the (possibly
-    memory-mapped) arrays themselves.
+    views from :func:`repro.graphs.io.read_csr_graph`) and become the
+    graph's CSR caches as they are. Every query is the inherited one and
+    no arc arrays are built, so a million-node graph costs O(1) heap
+    beyond the (possibly memory-mapped) arrays themselves.
 
     Mutation is rejected with :class:`repro.errors.StorageError`: the
     arrays may be shared, file-backed pages. ``version`` is permanently
     0 and :meth:`Graph.mutations_since` reports an empty delta, so warm
     sessions never try to repair sampled state for these graphs.
     """
+
+    read_only = True
 
     def __init__(
         self,
@@ -517,82 +569,26 @@ class CSRGraph(Graph):
         num_input_edges: Optional[int] = None,
         store_kind: str = "ram",
     ) -> None:
-        self.num_nodes = check_positive_int(num_nodes, "num_nodes")
-        self.directed = bool(directed)
+        super().__init__(num_nodes, directed=directed, groups=groups)
         self.store_kind = str(store_kind)
-        # No Python adjacency: every query goes through the CSR caches.
-        self._succ = None  # type: ignore[assignment]
-        self._succ_p = None  # type: ignore[assignment]
-        self._groups = None
-        self._num_groups = 0
-        fwd_indptr, fwd_indices, fwd_probs = forward
-        t_indptr, t_indices, t_probs = transpose
-        if fwd_indptr.size != self.num_nodes + 1:
-            raise StorageError(
-                f"forward indptr has {fwd_indptr.size} entries, "
-                f"expected {self.num_nodes + 1}"
-            )
-        if t_indptr.size != self.num_nodes + 1:
-            raise StorageError(
-                f"transpose indptr has {t_indptr.size} entries, "
-                f"expected {self.num_nodes + 1}"
-            )
-        if int(fwd_indptr[-1]) != int(t_indptr[-1]):
+        for name, indptr in (("forward", forward[0]), ("transpose", transpose[0])):
+            if indptr.size != self.num_nodes + 1:
+                raise StorageError(
+                    f"{name} indptr has {indptr.size} entries, "
+                    f"expected {self.num_nodes + 1}"
+                )
+        arcs = int(forward[0][-1])
+        if arcs != int(transpose[0][-1]):
             raise StorageError(
                 "forward and transpose CSR disagree on arc count: "
-                f"{int(fwd_indptr[-1])} vs {int(t_indptr[-1])}"
+                f"{arcs} vs {int(transpose[0][-1])}"
             )
-        self._csr_cache = (fwd_indptr, fwd_indices, fwd_probs)
-        self._transpose_cache = (t_indptr, t_indices, t_probs)
-        arcs = int(fwd_indptr[-1])
+        self._csr_cache = tuple(forward)
+        self._transpose_cache = tuple(transpose)
+        self._num_arcs = arcs
         if num_input_edges is None:
             num_input_edges = arcs if self.directed else arcs // 2
         self._num_input_edges = int(num_input_edges)
-        self._version = 0
-        self._mutation_log = []
-        self._log_floor = 0
-        if groups is not None:
-            self.set_groups(groups)
-
-    # -- immutability ----------------------------------------------------
-    def _immutable(self) -> StorageError:
-        return StorageError(
-            "CSR-backed graphs are immutable; rebuild the graph (or load "
-            "with the text format) to mutate edges"
-        )
-
-    def add_edge(self, u: int, v: int, *, probability: float = 1.0) -> None:
-        raise self._immutable()
-
-    def add_edges(self, sources, targets, probabilities=None) -> None:
-        raise self._immutable()
-
-    def set_edge_probabilities(self, probability: float) -> None:
-        raise self._immutable()
-
-    def set_arc_probability(self, u: int, v: int, probability: float) -> None:
-        raise self._immutable()
-
-    # -- queries served from the CSR arrays ------------------------------
-    @property
-    def num_arcs(self) -> int:
-        return int(self._csr_cache[0][-1])
-
-    def out_neighbors(self, u: int) -> list[int]:
-        self._check_node(u)
-        indptr, indices, _ = self._csr_cache
-        return indices[indptr[u]:indptr[u + 1]].tolist()
-
-    def out_degree(self, u: int) -> int:
-        self._check_node(u)
-        indptr = self._csr_cache[0]
-        return int(indptr[u + 1] - indptr[u])
-
-    def edges(self) -> Iterator[tuple[int, int, float]]:
-        indptr, indices, probs = self._csr_cache
-        for u in range(self.num_nodes):
-            for pos in range(int(indptr[u]), int(indptr[u + 1])):
-                yield u, int(indices[pos]), float(probs[pos])
 
     def transpose(self) -> "CSRGraph":
         g = CSRGraph(

@@ -265,7 +265,7 @@ def _greedy_coverage_fraction(
     """Fraction of RR sets covered by the greedy size-k node set.
 
     Standard max-coverage greedy, run on the packed inverted index: the
-    node->RR-set CSR comes from one stable argsort of the packed entries,
+    node->RR-set CSR comes from one stable counting sort of the packed entries,
     per-node counts start as one ``bincount``, and each round's decrement
     gathers the freshly covered sets' members in a single flat pass.
     Accepts either the packed ``(set_indptr, set_indices)`` pair or the

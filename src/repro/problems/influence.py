@@ -373,7 +373,7 @@ class InfluenceObjective(GroupedObjective):
         (set id not affected) and replacement keys (set id affected, read
         from the spliced collection) are disjoint by construction, so one
         :func:`repro.utils.csr.merge_sorted_disjoint` pass rebuilds the
-        packed entries without the stable argsort a full
+        packed entries without the stable sort a full
         :func:`invert_csr` would pay.
         """
         collection = self._collection

@@ -29,6 +29,24 @@ def build_csr(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
+def stable_order(keys: np.ndarray, num_keys: int) -> np.ndarray:
+    """The stable sorting permutation of integer ``keys`` in ``[0, num_keys)``.
+
+    An LSD radix sort over 16-bit digits: numpy sorts ``uint16`` keys
+    with a stable counting (radix) sort in O(len) per digit, where the
+    general stable sort of ``int64`` keys is a comparison sort. Stable
+    permutations are unique, so this equals
+    ``np.argsort(keys, kind="stable")``.
+    """
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    shift = 16
+    while num_keys > 1 << shift:
+        digit = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
 def invert_csr(
     indptr: np.ndarray, indices: np.ndarray, num_cols: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -36,12 +54,13 @@ def invert_csr(
 
     Returns ``(inv_indptr, inv_rows, order)``: column ``c``'s owning rows
     occupy ``inv_rows[inv_indptr[c]:inv_indptr[c + 1]]`` in increasing
-    row order (one stable argsort — within a column, flattened entries
-    keep row order). ``order`` is the argsort permutation of the packed
-    entries, so per-entry payloads travel along via ``payload[order]``
-    (the graph transpose permutes its edge probabilities this way).
+    row order (one stable counting sort — within a column, flattened
+    entries keep row order). ``order`` is the sorting permutation of the
+    packed entries, so per-entry payloads travel along via
+    ``payload[order]`` (the graph transpose permutes its edge
+    probabilities this way).
     """
-    order = np.argsort(indices, kind="stable")
+    order = stable_order(indices, num_cols)
     rows = np.repeat(
         np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr)
     )

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.graphs import generators
 from repro.graphs.generators import (
     _sbm_edges,
     erdos_renyi,
@@ -191,3 +194,51 @@ class TestSBMEdgesReference:
         }
         assert pairs == expected
         assert src.size == len(expected)
+
+    # (sizes, p_intra, p_inter, chunk doubles): the chunk is shrunk so
+    # that its boundaries fall where each case says.
+    CHUNK_CASES = {
+        # Block (0, 1)'s rows hold 9 draws, more than one chunk.
+        "row-longer-than-chunk": ([3, 9], 0.5, 0.5, 4),
+        # 4-wide blocks, 2 rows per chunk, 4 rows: chunks end on rows.
+        "rows-exact-multiple": ([4, 4], 0.5, 0.5, 8),
+        # 5 rows of block (0, 1) in 2-row chunks; block (0, 0)'s 5-wide
+        # rows are cut mid-row.
+        "rows-not-multiple": ([5, 4], 0.5, 0.5, 8),
+        # One diagonal block whose chunks cut through the diagonal.
+        "diagonal-crossing": ([7], 0.6, 0.0, 5),
+        "one-draw-chunks": ([3, 2], 0.5, 0.4, 1),
+        "p-zero": ([6, 5], 0.0, 0.0, 7),
+        "p-one": ([6, 5], 1.0, 1.0, 7),
+    }
+
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+    def test_chunk_boundaries_match_dense_reference(
+        self, case, directed, monkeypatch
+    ):
+        sizes, p_intra, p_inter, chunk = self.CHUNK_CASES[case]
+        monkeypatch.setattr(generators, "SBM_CHUNK_DOUBLES", chunk)
+        for seed in range(3):
+            rng_new = np.random.default_rng(seed)
+            rng_ref = np.random.default_rng(seed)
+            got = _sbm_edges(sizes, p_intra, p_inter, rng_new, directed)
+            ref = _sbm_edges_dense_reference(
+                sizes, p_intra, p_inter, rng_ref, directed
+            )
+            for a, b in zip(got, ref):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_peak_memory_is_bounded(self):
+        """A 4000-node two-block draw stays within a few chunks; one
+        dense 2000 x 2000 block alone would hold about 30 MiB."""
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            _sbm_edges([2000, 2000], 0.002, 0.001, rng, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
