@@ -200,9 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--batch-window-ms", type=float, default=5.0,
         help=(
-            "TCP micro-batching window: concurrent requests arriving "
-            "within this many ms are handled as one engine batch, so "
-            "compatible solves coalesce across connections"
+            "TCP micro-batching: the longest a greedy solve with no "
+            "same-key partner queued waits for one (capped further by "
+            "the last measured run of that key), so compatible solves "
+            "coalesce across connections; other requests never wait"
         ),
     )
     serve.add_argument(

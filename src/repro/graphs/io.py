@@ -66,13 +66,12 @@ def write_edge_list(graph: Graph, path: PathLike) -> None:
         fh.write(f"n {graph.num_nodes} {kind}\n")
         if graph.has_groups:
             fh.write("g " + " ".join(str(int(x)) for x in graph.groups) + "\n")
-        seen: set[tuple[int, int]] = set()
         for u, v, p in graph.edges():
-            if not graph.directed:
-                key = (min(u, v), max(u, v))
-                if key in seen:
-                    continue
-                seen.add(key)
+            # An undirected graph stores both arcs of an edge (a
+            # self-loop once): write each input edge once, parallel
+            # edges included.
+            if not graph.directed and v < u:
+                continue
             fh.write(f"e {u} {v} {p:.10g}\n")
 
 

@@ -59,6 +59,26 @@ from repro.utils.timing import Timer
 #: bisections depend on ``k`` and ``tau``), stochastic greedy is random.
 COALESCABLE = ("greedy",)
 
+
+def coalesce_key(
+    request: ServiceRequest, workers: Optional[int]
+) -> Optional[tuple]:
+    """The group a request coalesces in; ``None`` when it never does.
+
+    Two solves share a run exactly when their keys are equal: same
+    algorithm, warm objective and storage tier. ``workers`` is the
+    engine's default width, which a request without its own inherits.
+    """
+    if request.op != "solve" or request.algorithm not in COALESCABLE:
+        return None
+    return (
+        request.algorithm, request.dataset, request.seed,
+        request.im_samples,
+        request.workers if request.workers is not None else workers,
+        request.mc_simulations, request.store, request.memory_budget,
+    )
+
+
 #: Default capacity of the session registry (sessions, LRU).
 MAX_SESSIONS = 8
 
@@ -189,13 +209,8 @@ class ServiceEngine:
         """
         groups: dict[tuple, list[int]] = {}
         for pos, request in enumerate(requests):
-            if request.op == "solve" and request.algorithm in COALESCABLE:
-                key = (
-                    request.algorithm, request.dataset, request.seed,
-                    request.im_samples, self._workers(request),
-                    request.mc_simulations,
-                    request.store, request.memory_budget,
-                )
+            key = coalesce_key(request, self.workers)
+            if key is not None:
                 groups.setdefault(key, []).append(pos)
         units = [positions for positions in groups.values() if len(positions) > 1]
         grouped = {pos for positions in units for pos in positions}

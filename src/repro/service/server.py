@@ -18,27 +18,28 @@ Four mechanisms make the engines safe and fast under concurrency:
   one shard; ``stats`` fans out to every shard and merges (a failed
   shard reports an ``ok: false`` block instead of failing the op);
   ``shutdown`` is acked by the front-end and drains the whole pool.
-* **Per-shard micro-batch coalescing windows.** Admitted requests land
-  on their shard's queue; a per-shard batcher task gathers everything
-  that arrives within ``batch_window`` seconds (up to :data:`MAX_BATCH`)
-  into a single engine batch. Requests from *different connections*
-  therefore coalesce exactly like members of one array line — many
-  users asking for the same dataset's seeds collapse into one shared
-  greedy run on that dataset's shard (the engine's prefix-replay
-  guarantee keeps each response bitwise-identical to a sequential
-  solve). Routing affinity makes the per-shard window exactly as
-  effective as the old global one: coalescable requests share a
-  dataset, so they always share a queue.
+* **Per-shard micro-batches that wait only for a partner.** Admitted
+  requests land on their shard's queue; a per-shard batcher task takes
+  the head plus everything queued behind it (up to :data:`MAX_BATCH`)
+  as one engine batch (see :meth:`TCPServer._batch_loop`). Only a
+  greedy head with no same-key partner queued waits, for at most the
+  run a partner would save. Requests from *different connections*
+  therefore still coalesce like members of one array line: many users
+  asking for the same dataset's seeds collapse into one shared greedy
+  run on that dataset's shard (the engine's prefix-replay guarantee
+  keeps each response bitwise-identical to a sequential solve).
   The batch runs unit by unit (each coalesced group, then every other
   request alone; :meth:`~repro.service.engine.ServiceEngine.plan`), and
   each request is answered when its own unit finishes, so a cheap
   request never waits for a slow solve planned after it.
-* **Bounded executor hand-off.** Shard batches run on the persistent
-  thread :class:`~repro.utils.parallel.WorkerPool` via
-  ``loop.run_in_executor`` under a per-shard in-flight semaphore
-  (``max_inflight``), one executor hop per batch. The event loop never
-  blocks on a solve or a shard pipe round-trip; units answered before
-  the batch returns reach it through ``call_soon_threadsafe``.
+* **One engine thread per shard.** Every call that reaches a shard —
+  its batches, its part of a ``stats`` fan-out, the final close — runs
+  on that shard's own thread via ``loop.run_in_executor``, batches
+  under a per-shard in-flight semaphore (``max_inflight``), one hop per
+  batch. The event loop never blocks on a solve or a shard pipe
+  round-trip; units answered before the batch returns reach it through
+  ``call_soon_threadsafe``. One thread also means one glibc malloc
+  arena per shard, not one per thread of a shared pool.
 * **Admission control.** A request is admitted only while the number of
   admitted-but-unanswered requests is below ``max_queue_depth``;
   beyond that the server answers immediately with ``ok: false,
@@ -66,11 +67,11 @@ cross-checked.
 from __future__ import annotations
 
 import asyncio
-import functools
 import json
 import signal
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Any, Optional
 
@@ -84,7 +85,7 @@ from repro.service.protocol import (
     request_from_dict,
 )
 from repro.service.shards import EngineShardPool, shard_for_dataset
-from repro.utils.parallel import get_pool
+from repro.utils.caching import BoundedCache
 from repro.utils.stats import LatencyWindow
 
 DEFAULT_HOST = "127.0.0.1"
@@ -97,12 +98,9 @@ DEFAULT_RETRY_AFTER_MS = 100
 #: Most requests one shard batch gathers before it is dispatched.
 MAX_BATCH = 64
 
-#: Minimum width of the persistent thread pool the server dispatches
-#: shard batches onto. One thread per shard can block on a batch plus
-#: one for stats fan-out, so the pool widens to ``shards + 1``.
-#: ``max_inflight`` (not this) bounds concurrent batches per shard; the
-#: pool is shared with every other thread-backend user.
-ENGINE_POOL_WIDTH = 2
+#: Coalescing keys whose last run time one shard remembers (LRU): a
+#: stream of never-repeated keys, such as fresh seeds, stays bounded.
+RUN_TIME_KEYS = 256
 
 #: Content-Type of the Prometheus text exposition format.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -188,14 +186,22 @@ class TCPServer:
         self._requested_metrics_port = metrics_port
         self._bound_port: Optional[int] = None
         self._bound_metrics_port: Optional[int] = None
-        # Build the pool (forking any shard processes) *before* the
-        # thread pool below spawns: a forked child must never inherit
-        # live executor threads (the workers call reset_pools_after_fork
-        # anyway, but the less thread state crosses the fork the better).
+        # Build the pool (forking any shard processes) *before* any
+        # engine thread below spawns: a forked child must never inherit
+        # live executor threads.
         self._shard_pool = EngineShardPool(
             shards, engine_config, engine=engine
         )
-        self._pool = get_pool("thread", max(ENGINE_POOL_WIDTH, shards + 1))
+        self._engine_threads = [
+            ThreadPoolExecutor(1, thread_name_prefix=f"repro-shard-{index}")
+            for index in range(shards)
+        ]
+        # Per shard: the last measured run time (seconds) of each
+        # coalescing key, which bounds a lone head's wait for a partner.
+        self._run_seconds = [
+            BoundedCache(RUN_TIME_KEYS, sizeof=lambda _: 1)
+            for _ in range(shards)
+        ]
         self._pending = 0
         self._draining = False
         self._server: Optional[asyncio.base_events.Server] = None
@@ -302,9 +308,9 @@ class TCPServer:
                 *list(self._dispatch_tasks), return_exceptions=True
             )
         # Worker shutdown round-trips the pipes; keep it off the loop.
-        await asyncio.get_running_loop().run_in_executor(
-            self._pool, self._shard_pool.close
-        )
+        await self._on_shard(0, self._shard_pool.close)
+        for thread in self._engine_threads:
+            thread.shutdown(wait=False)
         if self._metrics_server is not None:
             self._metrics_server.close()
             await self._metrics_server.wait_closed()
@@ -420,7 +426,8 @@ class TCPServer:
                 self._dispatch_tasks.add(fanout)
                 fanout.add_done_callback(self._dispatch_tasks.discard)
             else:
-                await self._queues[shard].put((request, future))
+                key = self._shard_pool.coalesce_key(request)
+                await self._queues[shard].put((request, future, key))
         if admitted:
             await asyncio.gather(*(future for _, _, future in admitted))
             for pos, _, future in admitted:
@@ -454,8 +461,9 @@ class TCPServer:
     ) -> None:
         """Answer a ``stats``/``shutdown`` request from the dispatcher.
 
-        ``stats`` fans out to every shard (on the executor, past the
-        batch windows) and merges; ``shutdown`` is acked immediately
+        ``stats`` fans out to every shard (on each shard's engine
+        thread, past the batch queues) and merges; a shard that fails
+        answers ``ok: false`` in its slot. ``shutdown`` is acked immediately
         with the same payload an engine would send — the shards
         themselves drain inside :meth:`drain`, *after* every admitted
         request has been answered.
@@ -465,19 +473,34 @@ class TCPServer:
                 op=request.op, id=request.id, result={"stopping": True}
             )
         else:
-            loop = asyncio.get_running_loop()
-            try:
-                response = await loop.run_in_executor(
-                    self._pool, self._shard_pool.merged_stats, request
-                )
-            except Exception as exc:  # noqa: BLE001 — service boundary
-                response = Response(
-                    op=request.op, id=request.id, ok=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+            per_shard = await asyncio.gather(
+                *(self._shard_stats(shard, request)
+                  for shard in range(self.shards))
+            )
+            response = self._shard_pool.merge_stats(request, per_shard)
         self._pending -= 1
         if not future.done():
             future.set_result(response)
+
+    async def _shard_stats(
+        self, shard: int, request: ServiceRequest
+    ) -> Response:
+        try:
+            responses = await self._on_shard(
+                shard, self._shard_pool.handle_batch, shard, [request]
+            )
+            return responses[0]
+        except Exception as exc:  # noqa: BLE001 — per-shard boundary
+            return Response(
+                op=request.op, id=request.id, ok=False,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+
+    def _on_shard(self, shard: int, fn: Callable[..., Any], *args: Any):
+        """Run ``fn(*args)`` on the shard's engine thread (awaitable)."""
+        return asyncio.get_running_loop().run_in_executor(
+            self._engine_threads[shard], fn, *args
+        )
 
     def _admission_verdict(self) -> Optional[str]:
         """None to admit, else the fast-rejection error string."""
@@ -511,81 +534,114 @@ class TCPServer:
     async def _batch_loop(self, shard: int) -> None:
         """Gather one shard's queue into micro-batches and dispatch them.
 
-        The window opens when the first item of a batch arrives and
-        closes ``batch_window`` seconds later (or at :data:`MAX_BATCH`), so
-        a busy server coalesces aggressively. The wait is paid even when
-        nothing else arrives: a lone request on an idle server reaches
-        the engine ``batch_window`` seconds after it was queued.
-        ``None`` is the drain sentinel.
+        A batch is its head plus everything queued behind it, up to
+        :data:`MAX_BATCH`. A head that cannot coalesce goes at once, so a
+        lone request on an idle shard reaches the engine without a wait.
+        A coalescable head with no same-key partner queued (keys of
+        :func:`~repro.service.engine.coalesce_key`) waits for one, at
+        most ``min(batch_window, last measured run of its key on this
+        shard)``: never longer than the run a partner would save. A key
+        not measured yet waits the whole window. Requests arriving
+        while a batch runs queue up and form the next one. ``None`` is
+        the drain sentinel.
         """
         queue = self._queues[shard]
         inflight = self._inflights[shard]
+        run_seconds = self._run_seconds[shard]
         loop = asyncio.get_running_loop()
-        while True:
-            item = await queue.get()
-            if item is None:
+        stop = False
+        while not stop:
+            head = await queue.get()
+            if head is None:
                 break
-            batch = [item]
-            deadline = loop.time() + self.batch_window
-            stop = False
+            batch = [head]
+            key = head[2]
+            partnered = key is None
+            deadline = loop.time() + min(
+                self.batch_window, run_seconds.get(key, self.batch_window)
+            )
             while len(batch) < MAX_BATCH:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
+                if not queue.empty():
+                    item = queue.get_nowait()
+                elif partnered:
                     break
-                try:
-                    nxt = await asyncio.wait_for(queue.get(), remaining)
-                except asyncio.TimeoutError:
-                    break
-                if nxt is None:
+                else:
+                    remaining = deadline - loop.time()
+                    if remaining <= 0:
+                        break
+                    try:
+                        item = await asyncio.wait_for(queue.get(), remaining)
+                    except asyncio.TimeoutError:
+                        break
+                if item is None:
                     stop = True
                     break
-                batch.append(nxt)
+                batch.append(item)
+                partnered = partnered or item[2] == key
             await inflight.acquire()
             self.stats.batches_dispatched += 1
             task = asyncio.create_task(self._dispatch_batch(shard, batch))
             self._dispatch_tasks.add(task)
             task.add_done_callback(self._dispatch_tasks.discard)
-            if stop:
-                break
 
     async def _dispatch_batch(
-        self, shard: int, batch: list[tuple[ServiceRequest, asyncio.Future]]
+        self,
+        shard: int,
+        batch: list[tuple[ServiceRequest, asyncio.Future, Optional[tuple]]],
     ) -> None:
         """Run one batch on its shard, answering each unit as it finishes.
 
-        The whole batch is one executor hop and one shard-lock hold. The
-        shard reports every unit but the last through ``on_answer`` on
-        the executor thread, which hands it to the loop with
-        ``call_soon_threadsafe``; the last unit is answered from the
-        executor's return, so a one-unit batch costs no extra wake-up.
-        Each future is resolved once and ``_pending`` drops once per
-        admitted request, whichever way its answer arrives; if the shard
-        call raises, only the requests still unanswered get the error.
+        The whole batch is one hop to the shard's engine thread and one
+        shard-lock hold. The shard reports every unit but the last
+        through ``on_answer`` on that thread, which hands it to the loop
+        with ``call_soon_threadsafe``; the last unit is answered from the
+        hop's return, so a one-unit batch costs no extra wake-up. Each
+        unit's run time rides along, and a coalescable unit that answers
+        ``ok`` keeps it as its key's bound for :meth:`_batch_loop`. Each
+        future is resolved once and ``_pending`` drops once per admitted
+        request, whichever way its answer arrives; if the shard call
+        raises, only the requests still unanswered get the error.
         """
         loop = asyncio.get_running_loop()
-        requests = [request for request, _ in batch]
+        requests = [request for request, _, _ in batch]
         answered = [False] * len(batch)
+        run_seconds = self._run_seconds[shard]
 
-        def answer(positions: Iterable[int], responses: list[Response]) -> None:
+        def answer(
+            positions: Iterable[int],
+            responses: list[Response],
+            seconds: Optional[float],
+        ) -> None:
             for pos, response in zip(positions, responses):
                 if answered[pos]:
                     continue
                 answered[pos] = True
                 self._pending -= 1
-                future = batch[pos][1]
+                _, future, key = batch[pos]
+                if key is not None and seconds is not None and response.ok:
+                    run_seconds.put(key, seconds)
                 if not future.done():
                     future.set_result(response)
 
-        def on_answer(positions: list[int], responses: list[Response]) -> None:
-            loop.call_soon_threadsafe(answer, positions, responses)
+        def run() -> tuple[list[Response], float]:
+            # Each unit's run time is the gap since the previous unit's
+            # answer (or since the hop began), read on this thread.
+            mark = time.perf_counter()
 
-        try:
-            responses = await loop.run_in_executor(
-                self._pool,
-                functools.partial(self._shard_pool.handle_batch, on_answer=on_answer),
-                shard,
-                requests,
+            def on_answer(positions: list[int], responses: list[Response]) -> None:
+                nonlocal mark
+                now = time.perf_counter()
+                loop.call_soon_threadsafe(answer, positions, responses, now - mark)
+                mark = now
+
+            responses = self._shard_pool.handle_batch(
+                shard, requests, on_answer=on_answer
             )
+            return responses, time.perf_counter() - mark
+
+        seconds: Optional[float] = None
+        try:
+            responses, seconds = await self._on_shard(shard, run)
         except Exception as exc:  # noqa: BLE001 — service boundary
             responses = [
                 Response(
@@ -596,7 +652,7 @@ class TCPServer:
             ]
         finally:
             self._inflights[shard].release()
-        answer(range(len(batch)), responses)
+        answer(range(len(batch)), responses, seconds)
 
     # -- telemetry ---------------------------------------------------------
     def stats_dict(self) -> dict[str, Any]:

@@ -55,7 +55,7 @@ from collections.abc import Callable, Iterable, Iterator
 from multiprocessing.connection import Connection
 from typing import Any, Optional
 
-from repro.service.engine import ServiceEngine
+from repro.service.engine import ServiceEngine, coalesce_key
 from repro.service.protocol import Response, ServiceRequest, ShutdownRequest
 from repro.utils.parallel import process_context, reset_pools_after_fork
 
@@ -170,8 +170,8 @@ class LocalShard:
     """The in-process engine as shard 0 of a one-shard pool.
 
     The engine mutates shared session state with no internal locking,
-    so batches run strictly one at a time under the lock; the front-end
-    still overlaps the next batch's staging with the current solve.
+    so batches run strictly one at a time under the lock. The TCP
+    front-end calls it from one thread only, the shard's engine thread.
     """
 
     index = 0
@@ -202,9 +202,10 @@ class LocalShard:
 class EngineShard:
     """One engine worker process plus its parent-side transport.
 
-    ``handle_batch`` is called from the front-end's executor threads;
-    the per-shard lock serialises pipe traffic (one request message,
-    one reply message per unit) without ever blocking another shard.
+    The TCP front-end calls ``handle_batch`` from the shard's engine
+    thread; the per-shard lock serialises pipe traffic (one request
+    message, one reply message per unit) for any other caller without
+    ever blocking another shard.
     """
 
     def __init__(self, index: int, engine_kwargs: dict[str, Any]) -> None:
@@ -299,6 +300,7 @@ class EngineShardPool:
         if num_shards == 1:
             local = engine if engine is not None else ServiceEngine(**config)
             self.shards = [LocalShard(local)]
+            self._workers = local.workers
         elif engine is not None:
             raise ValueError(
                 "num_shards > 1 spawns engine processes from engine_config; "
@@ -307,10 +309,15 @@ class EngineShardPool:
         else:
             ServiceEngine(**config)  # validate knobs before forking anything
             self.shards = [EngineShard(i, config) for i in range(num_shards)]
+            self._workers = config.get("workers")
         self._closed = False
 
     def shard_for(self, dataset: str) -> int:
         return shard_for_dataset(dataset, self.num_shards)
+
+    def coalesce_key(self, request: ServiceRequest) -> Optional[tuple]:
+        """The group the shards' engines coalesce ``request`` in, if any."""
+        return coalesce_key(request, self._workers)
 
     def handle_batch(
         self,
@@ -321,38 +328,20 @@ class EngineShardPool:
         """Run a batch on one shard; see the module's transport framing."""
         return self.shards[shard_index].handle_batch(requests, on_answer)
 
-    def stats_all(self, request: ServiceRequest) -> list[Response]:
-        """Fan one ``stats`` request out to every shard, in shard order.
+    def merge_stats(
+        self, request: ServiceRequest, per_shard: list[Response]
+    ) -> Response:
+        """One response merging every shard's answer to ``request``.
 
-        A shard that fails (dead process, broken pipe) is answered with
-        an ``ok: false`` response in its slot; the others still report.
+        ``per_shard`` holds one ``stats`` answer per shard, in shard
+        order; a shard that failed (dead process, broken pipe) is an
+        ``ok: false`` answer in its slot. One shard's answer is returned
+        unchanged. Over N shards, scalar counters sum and sessions
+        concatenate over the shards that answered, and each shard's block
+        rides along under ``shards`` — a failed shard as ``{"shard": i,
+        "ok": false, "error": ...}`` — so the tier stays observable when
+        a shard is down.
         """
-        out = []
-        for index in range(self.num_shards):
-            try:
-                out.append(self.handle_batch(index, [request])[0])
-            except Exception as exc:  # noqa: BLE001 — per-shard boundary
-                out.append(
-                    Response(
-                        op=request.op,
-                        id=request.id,
-                        ok=False,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-        return out
-
-    def merged_stats(self, request: ServiceRequest) -> Response:
-        """One response merging every shard's stats block.
-
-        One shard's response is returned unchanged. Over N shards,
-        scalar counters sum and sessions concatenate over the shards
-        that answered, and each shard's block rides along under
-        ``shards`` — a failed shard as ``{"shard": i, "ok": false,
-        "error": ...}`` — so the tier stays observable when a shard is
-        down.
-        """
-        per_shard = self.stats_all(request)
         if self.num_shards == 1:
             return per_shard[0]
         merged: dict[str, Any] = {

@@ -71,17 +71,21 @@ def aggregate(values: Sequence[float]) -> Aggregate:
     )
 
 
-def percentile(samples: Iterable[float], q: float) -> float:
+def percentile(
+    samples: Iterable[float], q: float, *, presorted: bool = False
+) -> float:
     """Nearest-rank percentile (``q`` in ``[0, 1]``); 0.0 when empty.
 
     The sample at 1-based rank ``ceil(n * q)`` of the sorted samples —
     what ``numpy.quantile(samples, q, method="inverted_cdf")`` returns.
     The median of three samples is the middle one, and any ``q > 1 -
-    1/n`` reports the maximum.
+    1/n`` reports the maximum. ``presorted=True`` promises a list
+    already in ascending order, so several quantiles of one window
+    share one sort.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
-    ordered = sorted(samples)
+    ordered = samples if presorted else sorted(samples)
     if not ordered:
         return 0.0
     rank = min(len(ordered), max(1, math.ceil(len(ordered) * q)))
@@ -107,17 +111,19 @@ class LatencyWindow:
         """Per-op ``{count, mean, p50, p99}``.
 
         ``count`` is cumulative; ``mean`` and the nearest-rank quantiles
-        (seconds) cover the last ``window`` samples of the op.
+        (seconds) cover the last ``window`` samples of the op, sorted
+        once per op.
         """
-        return {
-            op: {
+        out = {}
+        for op, samples in self._samples.items():
+            ordered = sorted(samples)
+            out[op] = {
                 "count": self._counts[op],
                 "mean": sum(samples) / len(samples),
-                "p50": percentile(samples, 0.50),
-                "p99": percentile(samples, 0.99),
+                "p50": percentile(ordered, 0.50, presorted=True),
+                "p99": percentile(ordered, 0.99, presorted=True),
             }
-            for op, samples in self._samples.items()
-        }
+        return out
 
 
 def bootstrap_ci(

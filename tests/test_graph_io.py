@@ -37,6 +37,23 @@ class TestRoundTrip:
         (_, _, p) = next(iter(loaded.edges()))
         assert p == pytest.approx(0.123456789)
 
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_parallel_edges_and_self_loops_survive(self, tmp_path, directed):
+        edges = [
+            (0, 1, 0.2),
+            (0, 1, 0.4),
+            (1, 0, 0.7),
+            (1, 2, 0.5),
+            (2, 2, 0.3),
+            (2, 2, 0.6),
+        ]
+        g = Graph(3, edges, directed=directed)
+        path = tmp_path / "m.txt"
+        write_edge_list(g, path)
+        loaded = read_edge_list(path)
+        assert loaded.num_edges == len(edges)
+        assert sorted(loaded.edges()) == sorted(g.edges())
+
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("# header comment\n\nn 2 directed\ne 0 1\n")

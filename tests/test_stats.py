@@ -71,6 +71,21 @@ class TestLatencyWindow:
             "stats": {"count": 1, "mean": 1.0, "p50": 1.0, "p99": 1.0},
         }
 
+    def test_snapshot_matches_percentile_on_random_windows(self):
+        rng = np.random.default_rng(11)
+        for window in (1, 2, 7, 64, 512):
+            latency = LatencyWindow(window)
+            samples = rng.random(int(rng.integers(1, 3 * window + 2))).tolist()
+            for seconds in samples:
+                latency.record("solve", seconds)
+            kept = samples[-window:]
+            snapshot = latency.snapshot()["solve"]
+            for key, q in (("p50", 0.50), ("p99", 0.99)):
+                assert snapshot[key] == percentile(kept, q), (window, key)
+                assert percentile(sorted(kept), q, presorted=True) == (
+                    percentile(kept, q)
+                )
+
 
 class TestAggregate:
     def test_basic_statistics(self):
