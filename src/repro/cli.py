@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-inflight", type=int, default=2,
-        help="TCP: engine batches in flight on the worker pool",
+        help="TCP: engine batches in flight per shard",
     )
     serve.add_argument(
         "--batch-window-ms", type=float, default=5.0,

@@ -48,8 +48,8 @@ through the same chunk kernel under the same two laws. ``workers`` is
 the only execution setting any of the three takes.
 
 The chunk BFS itself dispatches through :mod:`repro.kernels`: each call
-resolves the active implementation set (baseline / tightened numpy /
-compiled numba, all bitwise-equal by contract) once in the caller's
+resolves the active implementation set (baseline or tightened numpy,
+bitwise-equal by contract) once in the caller's
 process and ships its name to the pool units, so a process pool forked
 before a pin change still runs the caller's choice.
 """

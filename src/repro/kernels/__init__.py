@@ -19,16 +19,12 @@ strategy and dispatches each call to the best available one:
   and int32 key arithmetic whenever the flat key space fits. Always
   available; must win ≥1.3x over baseline on one core
   (``benchmarks/bench_parallel.py`` gates it).
-* ``"numba"`` — optional nogil compiled loops, registered only when
-  :mod:`numba` imports. Draws stay in NumPy (``rng.random`` into a
-  buffer — the identical float64 stream), so the compiled part is
-  purely deterministic and the bitwise contract survives compilation.
 
 Every kernel produces bit-for-bit the baseline's arrays for the same
 inputs and RNG state — the registry changes speed, never results. The
 active set is a process setting with no per-call override: it resolves
 as the :func:`set_default_kernel` pin → ``REPRO_KERNEL`` env override →
-``"numba"`` when importable → ``"numpy"``.
+``"numpy"``.
 """
 
 from __future__ import annotations
@@ -47,8 +43,8 @@ __all__ = [
 ]
 
 #: Environment override for the active kernel set (e.g. the CI
-#: optional-deps leg exports ``REPRO_KERNEL=numba`` to pin the compiled
-#: path instead of trusting import luck).
+#: optional-deps leg exports ``REPRO_KERNEL=baseline`` to run the
+#: reference loops through the sampling suites).
 KERNEL_ENV_VAR = "REPRO_KERNEL"
 
 
@@ -96,8 +92,7 @@ def default_kernel_name() -> str:
     """The kernel used when no explicit name is given.
 
     Resolution order: :func:`set_default_kernel` pin → ``REPRO_KERNEL``
-    environment variable → ``"numba"`` when the compiled set registered
-    → ``"numpy"``.
+    environment variable → ``"numpy"``.
     """
     if _DEFAULT_OVERRIDE is not None:
         return _DEFAULT_OVERRIDE
@@ -109,8 +104,6 @@ def default_kernel_name() -> str:
                 f"(available: {available_kernels()})"
             )
         return env
-    if "numba" in _REGISTRY:
-        return "numba"
     return "numpy"
 
 
@@ -135,8 +128,7 @@ def get_kernel(name: Optional[str] = None) -> Kernel:
         ) from None
 
 
-# Register the always-available sets eagerly; the compiled set only if
-# its dependency imports (a missing numba is the expected common case).
+# Register both sets eagerly.
 from repro.kernels import baseline as _baseline  # noqa: E402
 from repro.kernels import numpy_kernels as _numpy_kernels  # noqa: E402
 
@@ -160,19 +152,3 @@ register_kernel(
         pack_chunk_keys=_numpy_kernels.pack_chunk_keys,
     )
 )
-
-from repro.kernels import numba_kernels as _numba_kernels  # noqa: E402
-
-if _numba_kernels.NUMBA_AVAILABLE:  # pragma: no cover - CI numba leg
-    register_kernel(
-        Kernel(
-            name="numba",
-            reachability_chunk=_numba_kernels.reachability_chunk,
-            # The sparse chunk's searchsorted probes are already
-            # vector-bound; the tightened NumPy variant serves both sets.
-            reachability_chunk_sparse=_numpy_kernels.reachability_chunk_sparse,
-            group_counts=_numba_kernels.group_counts,
-            gains_rescore=_numba_kernels.gains_rescore,
-            pack_chunk_keys=_numpy_kernels.pack_chunk_keys,
-        )
-    )

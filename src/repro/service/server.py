@@ -6,8 +6,15 @@ wire format identical: newline-delimited JSON, one request or response
 per line, a JSON array per line for an explicit batch. A v1 client can
 point its stdio script at a socket and see the same bytes back.
 
-Four mechanisms make the engines safe and fast under concurrency:
+The serving path is one chain of event-loop callbacks from the client
+socket to the shard and back; no task or thread hop is made per request:
 
+* **Connections are protocols.** Each client is a :class:`_Client`
+  (``asyncio.Protocol``). Its ``data_received`` splits lines, decodes
+  and admits every member at once, and a line is written when its last
+  member is answered, so lines on one connection may complete out of
+  order (correlate by ``id``). A client that stops reading its answers
+  pauses the server's reading of its requests.
 * **Dataset-affine sharding.** Every engine sits behind an
   :class:`~repro.service.shards.EngineShardPool`: with ``shards == 1``
   (the default) its one shard is the in-process engine, with
@@ -18,28 +25,26 @@ Four mechanisms make the engines safe and fast under concurrency:
   one shard; ``stats`` fans out to every shard and merges (a failed
   shard reports an ``ok: false`` block instead of failing the op);
   ``shutdown`` is acked by the front-end and drains the whole pool.
+  Every call that reaches a shard is its ``submit``: the in-process
+  engine runs it on its one engine thread, and a process shard's pipe
+  is read and written on the loop itself.
 * **Per-shard micro-batches that wait only for a partner.** Admitted
-  requests land on their shard's queue; a per-shard batcher task takes
-  the head plus everything queued behind it (up to :data:`MAX_BATCH`)
-  as one engine batch (see :meth:`TCPServer._batch_loop`). Only a
-  greedy head with no same-key partner queued waits, for at most the
-  run a partner would save. Requests from *different connections*
-  therefore still coalesce like members of one array line: many users
-  asking for the same dataset's seeds collapse into one shared greedy
-  run on that dataset's shard (the engine's prefix-replay guarantee
-  keeps each response bitwise-identical to a sequential solve).
-  The batch runs unit by unit (each coalesced group, then every other
-  request alone; :meth:`~repro.service.engine.ServiceEngine.plan`), and
-  each request is answered when its own unit finishes, so a cheap
-  request never waits for a slow solve planned after it.
-* **One engine thread per shard.** Every call that reaches a shard —
-  its batches, its part of a ``stats`` fan-out, the final close — runs
-  on that shard's own thread via ``loop.run_in_executor``, batches
-  under a per-shard in-flight semaphore (``max_inflight``), one hop per
-  batch. The event loop never blocks on a solve or a shard pipe
-  round-trip; units answered before the batch returns reach it through
-  ``call_soon_threadsafe``. One thread also means one glibc malloc
-  arena per shard, not one per thread of a shared pool.
+  requests land on their shard's FIFO queue, and each touched shard is
+  kicked once per loop pass, so requests that arrive together from
+  different connections batch together. A kick takes the head plus
+  everything queued behind it (up to :data:`MAX_BATCH`) as one engine
+  batch while the shard has fewer than ``max_inflight`` batches out
+  (see :meth:`TCPServer._kick`). Only a greedy head with no same-key
+  partner queued waits, on one timer, for at most the run a partner
+  would save. Requests from *different connections* therefore still
+  coalesce like members of one array line: many users asking for the
+  same dataset's seeds collapse into one shared greedy run on that
+  dataset's shard (the engine's prefix-replay guarantee keeps each
+  response bitwise-identical to a sequential solve). The batch runs
+  unit by unit (each coalesced group, then every other request alone;
+  :meth:`~repro.service.engine.ServiceEngine.plan`), and each request
+  is answered when its own unit finishes, so a cheap request never
+  waits for a slow solve planned after it.
 * **Admission control.** A request is admitted only while the number of
   admitted-but-unanswered requests is below ``max_queue_depth``;
   beyond that the server answers immediately with ``ok: false,
@@ -67,12 +72,13 @@ cross-checked.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import signal
 import time
-from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import asdict, dataclass
+from itertools import islice
 from typing import Any, Optional
 
 from repro.service.engine import ServiceEngine
@@ -80,6 +86,7 @@ from repro.service.protocol import (
     ProtocolError,
     Response,
     ServiceRequest,
+    ShutdownRequest,
     encode_response,
     error_response,
     request_from_dict,
@@ -135,6 +142,105 @@ class ServerStats:
     responses_discarded: int = 0
 
 
+class _Line:
+    """One input line: its answers in member order, and how many are open.
+
+    ``open`` starts at 1 while the line is being admitted, so that no
+    member answered during admission can write the line early.
+    """
+
+    __slots__ = ("client", "slots", "open", "shutdown")
+
+    def __init__(self, client: _Client, size: int) -> None:
+        self.client = client
+        self.slots: list[Optional[Response]] = [None] * size
+        self.open = 1
+        self.shutdown = False
+
+
+class _Member:
+    """One admitted request, from its line to its shard and back."""
+
+    __slots__ = ("request", "key", "line", "pos", "admitted")
+
+    def __init__(
+        self, request: ServiceRequest, key: Optional[tuple], line: _Line, pos: int
+    ) -> None:
+        self.request = request
+        self.key = key
+        self.line = line
+        self.pos = pos
+        self.admitted = time.perf_counter()
+
+
+class _Client(asyncio.Protocol):
+    """One client connection: split lines in, write answered lines out."""
+
+    transport: asyncio.Transport
+
+    def __init__(self, server: TCPServer) -> None:
+        self.server = server
+        self._buffer = bytearray()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self.transport = transport
+        self.server._clients.add(self)
+        self.server.stats.connections_total += 1
+        self.server.stats.connections_active += 1
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        # In-flight lines of this client are still answered (the engine
+        # banks the warm state); their responses are discarded.
+        self.server._clients.discard(self)
+        self.server.stats.connections_active -= 1
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self._buffer
+        buffer += data
+        limit = self.server.max_line_bytes
+        start = 0
+        while True:
+            end = buffer.find(b"\n", start)
+            if end < 0:
+                break
+            if end - start > limit:
+                self._oversized()
+                return
+            self.server._serve_line(self, buffer[start:end])
+            start = end + 1
+        del buffer[:start]
+        if len(buffer) > limit:
+            self._oversized()
+
+    def _oversized(self) -> None:
+        """The overlong tail is unrecoverable mid-stream: answer once, drop
+        the connection."""
+        self.server.stats.oversized_lines += 1
+        self.write([error_response(f"line exceeds {self.server.max_line_bytes} bytes")])
+        self._buffer.clear()
+        self.transport.close()
+
+    def write(self, responses: list[Response]) -> None:
+        if self.transport.is_closing():
+            # Client disconnected before its answer: the result is
+            # dropped; the engine already banked the warm state.
+            self.server.stats.responses_discarded += len(responses)
+            return
+        self.transport.write(
+            "".join(encode_response(response) + "\n" for response in responses)
+            .encode("utf-8")
+        )
+
+    # Backpressure: a client that does not read its answers stops being read.
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        if not self.transport.is_closing():
+            self.transport.resume_reading()
+
+
 class TCPServer:
     """Newline-delimited-JSON TCP server over one or many engines.
 
@@ -186,34 +292,31 @@ class TCPServer:
         self._requested_metrics_port = metrics_port
         self._bound_port: Optional[int] = None
         self._bound_metrics_port: Optional[int] = None
-        # Build the pool (forking any shard processes) *before* any
-        # engine thread below spawns: a forked child must never inherit
-        # live executor threads.
         self._shard_pool = EngineShardPool(
             shards, engine_config, engine=engine
         )
-        self._engine_threads = [
-            ThreadPoolExecutor(1, thread_name_prefix=f"repro-shard-{index}")
-            for index in range(shards)
-        ]
-        # Per shard: the last measured run time (seconds) of each
+        # Per shard: the FIFO of admitted requests, the batches out, the
+        # lone greedy head's wait timer, when the shard last answered a
+        # unit, and the last measured run time (seconds) of each
         # coalescing key, which bounds a lone head's wait for a partner.
+        self._queues: list[deque[_Member]] = [deque() for _ in range(shards)]
+        self._inflight = [0] * shards
+        self._timers: list[Optional[asyncio.TimerHandle]] = [None] * shards
+        self._answered_at = [0.0] * shards
         self._run_seconds = [
             BoundedCache(RUN_TIME_KEYS, sizeof=lambda _: 1)
             for _ in range(shards)
         ]
+        self._touched: set[int] = set()
         self._pending = 0
+        self._idle: Optional[asyncio.Future] = None
         self._draining = False
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._metrics_server: Optional[asyncio.base_events.Server] = None
-        self._queues: list[asyncio.Queue] = []
-        self._inflights: list[asyncio.Semaphore] = []
-        self._batcher_tasks: list[asyncio.Task] = []
         self._done: Optional[asyncio.Event] = None
         self._drain_task: Optional[asyncio.Task] = None
-        self._line_tasks: set[asyncio.Task] = set()
-        self._dispatch_tasks: set[asyncio.Task] = set()
-        self._writers: set[asyncio.StreamWriter] = set()
+        self._clients: set[_Client] = set()
 
     # -- lifecycle ---------------------------------------------------------
     @property
@@ -228,16 +331,11 @@ class TCPServer:
         return self._bound_metrics_port
 
     async def start(self) -> None:
-        self._queues = [asyncio.Queue() for _ in range(self.shards)]
-        self._inflights = [
-            asyncio.Semaphore(self.max_inflight) for _ in range(self.shards)
-        ]
+        self._loop = asyncio.get_running_loop()
         self._done = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._on_connection,
-            self.host,
-            self._requested_port,
-            limit=self.max_line_bytes,
+        await self._shard_pool.connect()
+        self._server = await self._loop.create_server(
+            lambda: _Client(self), self.host, self._requested_port
         )
         # Cached: the sockets list empties once the listener closes,
         # but callers still ask "which port was that?" after a drain.
@@ -249,10 +347,6 @@ class TCPServer:
             self._bound_metrics_port = (
                 self._metrics_server.sockets[0].getsockname()[1]
             )
-        self._batcher_tasks = [
-            asyncio.create_task(self._batch_loop(shard))
-            for shard in range(self.shards)
-        ]
 
     def install_signal_handlers(self) -> None:  # pragma: no cover — CLI path
         loop = asyncio.get_running_loop()
@@ -284,100 +378,51 @@ class TCPServer:
         if self._draining:
             return
         self._draining = True
-        assert self._server is not None
+        assert self._server is not None and self._loop is not None
         self._server.close()
-        await self._server.wait_closed()
-        # In-flight lines finish on their own: their futures resolve
-        # as their units are answered and each line task writes its own
-        # responses. Lines arriving *during* the drain are answered
-        # fast with "draining", so this converges.
-        while True:
-            tasks = [
-                task for task in self._line_tasks
-                if task is not asyncio.current_task()
-            ]
-            if not tasks:
-                break
-            await asyncio.gather(*tasks, return_exceptions=True)
-        for queue in self._queues:
-            await queue.put(None)  # stop the batchers
-        if self._batcher_tasks:
-            await asyncio.gather(*self._batcher_tasks)
-        if self._dispatch_tasks:
-            await asyncio.gather(
-                *list(self._dispatch_tasks), return_exceptions=True
-            )
-        # Worker shutdown round-trips the pipes; keep it off the loop.
-        await self._on_shard(0, self._shard_pool.close)
-        for thread in self._engine_threads:
-            thread.shutdown(wait=False)
+        # In-flight lines finish on their own: each is written when its
+        # last member is answered. A waiting greedy head stops waiting,
+        # and lines arriving *during* the drain are answered fast with
+        # "draining", so this converges.
+        for shard in range(self.shards):
+            self._kick(shard)
+        while self._pending:
+            self._idle = self._loop.create_future()
+            await self._idle
+        if self.shards > 1:
+            # Each worker answers a shutdown op and exits; the
+            # in-process engine has nothing to stop.
+            stopped = [self._loop.create_future() for _ in range(self.shards)]
+            for shard, future in enumerate(stopped):
+                self._shard_pool.submit(
+                    shard,
+                    [ShutdownRequest(id="__drain__")],
+                    lambda _positions, _responses: None,
+                    functools.partial(future.set_result, None),
+                )
+            await asyncio.gather(*stopped)
+        self._shard_pool.close()
         if self._metrics_server is not None:
             self._metrics_server.close()
             await self._metrics_server.wait_closed()
-        for writer in list(self._writers):
-            writer.close()
-        for writer in list(self._writers):
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        for client in list(self._clients):
+            client.transport.close()
+        await self._server.wait_closed()
         assert self._done is not None
         self._done.set()
 
-    # -- connections -------------------------------------------------------
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.stats.connections_total += 1
-        self.stats.connections_active += 1
-        self._writers.add(writer)
-        write_lock = asyncio.Lock()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    # The overlong tail is unrecoverable mid-stream:
-                    # answer once, drop the connection.
-                    self.stats.oversized_lines += 1
-                    await self._write_responses(
-                        writer,
-                        write_lock,
-                        [error_response(
-                            f"line exceeds {self.max_line_bytes} bytes"
-                        )],
-                    )
-                    break
-                if not line:
-                    break  # EOF
-                text = line.decode("utf-8", errors="replace").strip()
-                if not text:
-                    continue
-                self.stats.lines_total += 1
-                task = asyncio.create_task(
-                    self._serve_line(text, writer, write_lock)
-                )
-                self._line_tasks.add(task)
-                task.add_done_callback(self._line_tasks.discard)
-        except (ConnectionError, OSError):
-            pass  # client went away mid-read; in-flight work is discarded
-        finally:
-            self.stats.connections_active -= 1
-            self._writers.discard(writer)
-            writer.close()
+    # -- lines -------------------------------------------------------------
+    def _serve_line(self, client: _Client, raw: bytearray) -> None:
+        """Decode and admit one input line; answer what needs no engine.
 
-    async def _serve_line(
-        self,
-        text: str,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
-        """Parse, admit, await and answer one input line.
-
-        Responses keep member order within the line; lines on one
-        connection may complete out of order (correlate by ``id``),
-        which is what lets a slow solve overlap a fast ``stats``.
+        Members bound for a shard are queued there; ``stats`` fans out
+        and ``shutdown`` is acked here. The line is written when its
+        last member is answered (:meth:`_settle`), in member order.
         """
+        text = raw.decode("utf-8", errors="replace").strip()
+        if not text:
+            return
+        self.stats.lines_total += 1
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -385,122 +430,92 @@ class TCPServer:
             # requests_total identity covers malformed traffic too.
             self.stats.requests_total += 1
             self.stats.requests_invalid += 1
-            await self._write_responses(
-                writer, write_lock,
-                [error_response(f"invalid JSON: {exc}")],
-            )
+            client.write([error_response(f"invalid JSON: {exc}")])
             return
         batch = payload if isinstance(payload, list) else [payload]
-        slots: list[Optional[Response]] = [None] * len(batch)
-        admitted: list[tuple[int, ServiceRequest, asyncio.Future]] = []
-        shutdown_requested = False
-        loop = asyncio.get_running_loop()
+        line = _Line(client, len(batch))
         for pos, member in enumerate(batch):
             self.stats.requests_total += 1
             try:
                 request = request_from_dict(member)
             except ProtocolError as exc:
                 self.stats.requests_invalid += 1
-                slots[pos] = error_response(str(exc), member)
+                line.slots[pos] = error_response(str(exc), member)
                 continue
             refusal = self._admission_verdict()
             if refusal is not None:
                 self.stats.requests_rejected += 1
-                slots[pos] = Response(
+                line.slots[pos] = Response(
                     op=request.op, id=request.id, ok=False, error=refusal,
                     result={"retry_after_ms": self.retry_after_ms},
                 )
                 continue
-            if request.op == "shutdown":
-                shutdown_requested = True
             self.stats.requests_admitted += 1
             self._pending += 1
-            future: asyncio.Future = loop.create_future()
-            self._observe_latency(request.op, future)
-            admitted.append((pos, request, future))
-            shard = self._route(request)
-            if shard is None:
-                fanout = asyncio.create_task(
-                    self._serve_fanout(request, future)
+            line.open += 1
+            if request.op == "shutdown":
+                line.shutdown = True
+                self._answer(
+                    _Member(request, None, line, pos),
+                    Response(op=request.op, id=request.id, result={"stopping": True}),
                 )
-                self._dispatch_tasks.add(fanout)
-                fanout.add_done_callback(self._dispatch_tasks.discard)
+            elif request.op == "stats":
+                self._fan_out(_Member(request, None, line, pos))
             else:
+                shard = shard_for_dataset(request.dataset, self.shards)
                 key = self._shard_pool.coalesce_key(request)
-                await self._queues[shard].put((request, future, key))
-        if admitted:
-            await asyncio.gather(*(future for _, _, future in admitted))
-            for pos, _, future in admitted:
-                slots[pos] = future.result()
-        responses = [slot for slot in slots if slot is not None]
+                self._queues[shard].append(_Member(request, key, line, pos))
+                self._touch(shard)
+        self._settle(line)
+
+    def _answer(self, member: _Member, response: Response) -> None:
+        """Resolve one admitted request; write its line if it was the last."""
+        self.latency.record(member.request.op, time.perf_counter() - member.admitted)
+        member.line.slots[member.pos] = response
+        self._pending -= 1
+        self._settle(member.line)
+        if not self._pending and self._idle is not None and not self._idle.done():
+            self._idle.set_result(None)
+
+    def _settle(self, line: _Line) -> None:
+        line.open -= 1
+        if line.open:
+            return
+        responses = line.slots
         for response in responses:
+            assert response is not None
             if response.op == "stats" and response.ok:
                 # The engine knows nothing about transports; the
                 # front-end's counters ride along in its stats payload.
                 response.result["server"] = self.stats_dict()
-        await self._write_responses(writer, write_lock, responses)
-        if shutdown_requested:
+        line.client.write(responses)
+        if line.shutdown:
             self.request_drain()
 
-    def _route(self, request: ServiceRequest) -> Optional[int]:
-        """Queue index for a request; ``None`` for front-end fan-out ops."""
-        if request.op in FANOUT_OPS:
-            return None
-        return shard_for_dataset(request.dataset, self.shards)
+    def _fan_out(self, member: _Member) -> None:
+        """Answer ``stats`` from every shard, merged.
 
-    def _observe_latency(self, op: str, future: asyncio.Future) -> None:
-        start = time.perf_counter()
-        future.add_done_callback(
-            lambda _fut: self.latency.record(
-                op, time.perf_counter() - start
-            )
-        )
-
-    async def _serve_fanout(
-        self, request: ServiceRequest, future: asyncio.Future
-    ) -> None:
-        """Answer a ``stats``/``shutdown`` request from the dispatcher.
-
-        ``stats`` fans out to every shard (on each shard's engine
-        thread, past the batch queues) and merges; a shard that fails
-        answers ``ok: false`` in its slot. ``shutdown`` is acked immediately
-        with the same payload an engine would send — the shards
-        themselves drain inside :meth:`drain`, *after* every admitted
-        request has been answered.
+        Each shard answers past its batch queue; a shard that fails
+        answers ``ok: false`` in its slot.
         """
-        if request.op == "shutdown":
-            response = Response(
-                op=request.op, id=request.id, result={"stopping": True}
-            )
-        else:
-            per_shard = await asyncio.gather(
-                *(self._shard_stats(shard, request)
-                  for shard in range(self.shards))
-            )
-            response = self._shard_pool.merge_stats(request, per_shard)
-        self._pending -= 1
-        if not future.done():
-            future.set_result(response)
+        per_shard: list[Optional[Response]] = [None] * self.shards
+        left = [self.shards]
 
-    async def _shard_stats(
-        self, shard: int, request: ServiceRequest
-    ) -> Response:
-        try:
-            responses = await self._on_shard(
-                shard, self._shard_pool.handle_batch, shard, [request]
-            )
-            return responses[0]
-        except Exception as exc:  # noqa: BLE001 — per-shard boundary
-            return Response(
-                op=request.op, id=request.id, ok=False,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+        def on_unit(
+            shard: int, _positions: list[int], responses: list[Response]
+        ) -> None:
+            per_shard[shard] = responses[0]
 
-    def _on_shard(self, shard: int, fn: Callable[..., Any], *args: Any):
-        """Run ``fn(*args)`` on the shard's engine thread (awaitable)."""
-        return asyncio.get_running_loop().run_in_executor(
-            self._engine_threads[shard], fn, *args
-        )
+        def on_done() -> None:
+            left[0] -= 1
+            if not left[0]:
+                merged = self._shard_pool.merge_stats(member.request, per_shard)
+                self._answer(member, merged)
+
+        for shard in range(self.shards):
+            self._shard_pool.submit(
+                shard, [member.request], functools.partial(on_unit, shard), on_done
+            )
 
     def _admission_verdict(self) -> Optional[str]:
         """None to admit, else the fast-rejection error string."""
@@ -510,149 +525,109 @@ class TCPServer:
             return "overloaded"
         return None
 
-    async def _write_responses(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        responses: list[Response],
-    ) -> None:
-        if not responses:
-            return
-        data = "".join(
-            encode_response(response) + "\n" for response in responses
-        ).encode("utf-8")
-        try:
-            async with write_lock:
-                writer.write(data)
-                await writer.drain()
-        except (ConnectionError, RuntimeError, OSError):
-            # Client disconnected before its answer: the result is
-            # dropped; the engine already banked the warm state.
-            self.stats.responses_discarded += len(responses)
-
     # -- batching ----------------------------------------------------------
-    async def _batch_loop(self, shard: int) -> None:
-        """Gather one shard's queue into micro-batches and dispatch them.
+    def _touch(self, shard: int) -> None:
+        """Kick ``shard`` once this loop pass is over.
+
+        Every read of this pass queues first, so requests that arrive
+        together from several connections form one batch.
+        """
+        if not self._touched:
+            assert self._loop is not None
+            self._loop.call_soon(self._kick_touched)
+        self._touched.add(shard)
+
+    def _kick_touched(self) -> None:
+        touched, self._touched = self._touched, set()
+        for shard in touched:
+            self._kick(shard)
+
+    def _kick(self, shard: int) -> None:
+        """Dispatch batches from the shard's queue while it has room.
 
         A batch is its head plus everything queued behind it, up to
         :data:`MAX_BATCH`. A head that cannot coalesce goes at once, so a
         lone request on an idle shard reaches the engine without a wait.
         A coalescable head with no same-key partner queued (keys of
-        :func:`~repro.service.engine.coalesce_key`) waits for one, at
-        most ``min(batch_window, last measured run of its key on this
-        shard)``: never longer than the run a partner would save. A key
-        not measured yet waits the whole window. Requests arriving
-        while a batch runs queue up and form the next one. ``None`` is
-        the drain sentinel.
+        :func:`~repro.service.engine.coalesce_key`) waits for one on a
+        timer, at most ``min(batch_window, last measured run of its key
+        on this shard)``: never longer than the run a partner would
+        save. A key not measured yet waits the whole window. Requests
+        arriving while the shard has ``max_inflight`` batches out queue
+        up and form the next one.
         """
         queue = self._queues[shard]
-        inflight = self._inflights[shard]
-        run_seconds = self._run_seconds[shard]
-        loop = asyncio.get_running_loop()
-        stop = False
-        while not stop:
-            head = await queue.get()
-            if head is None:
-                break
-            batch = [head]
-            key = head[2]
-            partnered = key is None
-            deadline = loop.time() + min(
-                self.batch_window, run_seconds.get(key, self.batch_window)
+        while (
+            queue
+            and self._inflight[shard] < self.max_inflight
+            and self._may_go(shard)
+        ):
+            self._dispatch(shard)
+
+    def _may_go(self, shard: int) -> bool:
+        """Whether the shard's head may go now; arms its wait if not."""
+        queue = self._queues[shard]
+        key = queue[0].key
+        timer = self._timers[shard]
+        if (
+            key is None
+            or self._draining
+            or len(queue) >= MAX_BATCH
+            or any(member.key == key for member in islice(queue, 1, MAX_BATCH))
+        ):
+            if timer is not None:
+                timer.cancel()
+                self._timers[shard] = None
+            return True
+        if timer is None:
+            wait = min(
+                self.batch_window,
+                self._run_seconds[shard].get(key, self.batch_window),
             )
-            while len(batch) < MAX_BATCH:
-                if not queue.empty():
-                    item = queue.get_nowait()
-                elif partnered:
-                    break
-                else:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        item = await asyncio.wait_for(queue.get(), remaining)
-                    except asyncio.TimeoutError:
-                        break
-                if item is None:
-                    stop = True
-                    break
-                batch.append(item)
-                partnered = partnered or item[2] == key
-            await inflight.acquire()
-            self.stats.batches_dispatched += 1
-            task = asyncio.create_task(self._dispatch_batch(shard, batch))
-            self._dispatch_tasks.add(task)
-            task.add_done_callback(self._dispatch_tasks.discard)
+            if wait <= 0:
+                return True
+            assert self._loop is not None
+            self._timers[shard] = self._loop.call_later(wait, self._expire, shard)
+        return False
 
-    async def _dispatch_batch(
-        self,
-        shard: int,
-        batch: list[tuple[ServiceRequest, asyncio.Future, Optional[tuple]]],
-    ) -> None:
-        """Run one batch on its shard, answering each unit as it finishes.
+    def _expire(self, shard: int) -> None:
+        """The lone head waited its bound: it goes with what is queued."""
+        self._timers[shard] = None
+        self._dispatch(shard)
+        self._kick(shard)
 
-        The whole batch is one hop to the shard's engine thread and one
-        shard-lock hold. The shard reports every unit but the last
-        through ``on_answer`` on that thread, which hands it to the loop
-        with ``call_soon_threadsafe``; the last unit is answered from the
-        hop's return, so a one-unit batch costs no extra wake-up. Each
-        unit's run time rides along, and a coalescable unit that answers
-        ``ok`` keeps it as its key's bound for :meth:`_batch_loop`. Each
-        future is resolved once and ``_pending`` drops once per admitted
-        request, whichever way its answer arrives; if the shard call
-        raises, only the requests still unanswered get the error.
+    def _dispatch(self, shard: int) -> None:
+        """Send the shard's next batch; answer each unit as it arrives.
+
+        Each unit's run time is measured from when that unit could
+        start: the later of the batch's dispatch and the shard's
+        previous answer. A coalescable unit that answers ``ok`` keeps
+        it as its key's wait bound for :meth:`_kick`.
         """
-        loop = asyncio.get_running_loop()
-        requests = [request for request, _, _ in batch]
-        answered = [False] * len(batch)
+        queue = self._queues[shard]
+        batch = [queue.popleft() for _ in range(min(len(queue), MAX_BATCH))]
+        self._inflight[shard] += 1
+        self.stats.batches_dispatched += 1
+        sent = time.perf_counter()
         run_seconds = self._run_seconds[shard]
 
-        def answer(
-            positions: Iterable[int],
-            responses: list[Response],
-            seconds: Optional[float],
-        ) -> None:
+        def on_unit(positions: list[int], responses: list[Response]) -> None:
+            now = time.perf_counter()
+            seconds = now - max(sent, self._answered_at[shard])
+            self._answered_at[shard] = now
             for pos, response in zip(positions, responses):
-                if answered[pos]:
-                    continue
-                answered[pos] = True
-                self._pending -= 1
-                _, future, key = batch[pos]
-                if key is not None and seconds is not None and response.ok:
-                    run_seconds.put(key, seconds)
-                if not future.done():
-                    future.set_result(response)
+                member = batch[pos]
+                if member.key is not None and response.ok:
+                    run_seconds.put(member.key, seconds)
+                self._answer(member, response)
 
-        def run() -> tuple[list[Response], float]:
-            # Each unit's run time is the gap since the previous unit's
-            # answer (or since the hop began), read on this thread.
-            mark = time.perf_counter()
+        def on_done() -> None:
+            self._inflight[shard] -= 1
+            self._kick(shard)
 
-            def on_answer(positions: list[int], responses: list[Response]) -> None:
-                nonlocal mark
-                now = time.perf_counter()
-                loop.call_soon_threadsafe(answer, positions, responses, now - mark)
-                mark = now
-
-            responses = self._shard_pool.handle_batch(
-                shard, requests, on_answer=on_answer
-            )
-            return responses, time.perf_counter() - mark
-
-        seconds: Optional[float] = None
-        try:
-            responses, seconds = await self._on_shard(shard, run)
-        except Exception as exc:  # noqa: BLE001 — service boundary
-            responses = [
-                Response(
-                    op=request.op, id=request.id, ok=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                for request in requests
-            ]
-        finally:
-            self._inflights[shard].release()
-        answer(range(len(batch)), responses, seconds)
+        self._shard_pool.submit(
+            shard, [member.request for member in batch], on_unit, on_done
+        )
 
     # -- telemetry ---------------------------------------------------------
     def stats_dict(self) -> dict[str, Any]:
@@ -673,7 +648,7 @@ class TCPServer:
         }
         telemetry = self._shard_pool.telemetry()
         for entry, queue in zip(telemetry, self._queues):
-            entry["queue_depth"] = queue.qsize()
+            entry["queue_depth"] = len(queue)
         out["shard_telemetry"] = telemetry
         return out
 
@@ -749,7 +724,7 @@ class TCPServer:
         emit(
             "repro_shard_queue_depth", "gauge",
             "Requests queued per shard.",
-            [(f'{{shard="{e["shard"]}"}}', queue.qsize())
+            [(f'{{shard="{e["shard"]}"}}', len(queue))
              for e, queue in zip(telemetry, self._queues)],
         )
         emit(

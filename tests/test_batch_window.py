@@ -3,7 +3,8 @@
 A head that cannot coalesce is dispatched at once. A greedy head waits
 for a same-key partner, at most ``min(batch_window, last measured run of
 its key on the shard)``, and a partner ends the wait. Every call that
-reaches a shard runs on that shard's one engine thread.
+reaches the in-process shard runs on its one engine thread; process
+shards are submitted to from the event loop thread.
 """
 
 from __future__ import annotations
@@ -236,29 +237,34 @@ def test_one_engine_thread_serves_every_call_of_a_local_shard():
 
 @pytest.mark.skipif(not fork_available(), reason="shard children must fork")
 def test_one_engine_thread_per_process_shard():
+    """A process shard's engine thread is its child's: the front-end
+    submits every batch, ``stats`` and drain call on the loop thread and
+    runs no shard executor thread of its own."""
     calls = []
 
     async def scenario():
         server = TCPServer(None, port=0, shards=2, engine_config={}, batch_window=0.005)
         await server.start()
         pool = server._shard_pool
-        handle_batch = pool.handle_batch
+        submit = pool.submit
 
-        def recording(shard, requests, on_answer=None):
+        def recording(shard, requests, on_unit, on_done):
             calls.append((shard, threading.get_ident()))
-            return handle_batch(shard, requests, on_answer=on_answer)
+            submit(shard, requests, on_unit, on_done)
 
-        pool.handle_batch = recording
+        pool.submit = recording
         try:
-            return await _busy_connections(server, [DATASET, OTHER_SHARD_DATASET])
+            answers = await _busy_connections(server, [DATASET, OTHER_SHARD_DATASET])
+            names = [thread.name for thread in threading.enumerate()]
+            return answers, threading.get_ident(), names
         finally:
             await server.drain()
 
-    answers = run_async(scenario())
+    answers, loop_thread, names = run_async(scenario())
     assert all(answer["ok"] for answer in answers)
     threads = {}
     for shard, ident in calls:
         threads.setdefault(shard, set()).add(ident)
     assert sorted(threads) == [0, 1]
-    assert all(len(idents) == 1 for idents in threads.values()), threads
-    assert threads[0] != threads[1]
+    assert all(idents == {loop_thread} for idents in threads.values()), threads
+    assert not [name for name in names if name.startswith("repro-shard-")], names

@@ -4,9 +4,7 @@ Every registered kernel set must be *bitwise* interchangeable with the
 "baseline" set (the PR 3 reference implementations, kept verbatim in
 :mod:`repro.kernels.baseline`): identical reached keys from the BFS
 chunks — including identical RNG stream consumption, so downstream
-draws cannot diverge — and identical coverage/gain counts. The numba
-rows run only where the compiled set actually registered (the wheel is
-an optional dependency); they skip cleanly otherwise.
+draws cannot diverge — and identical coverage/gain counts.
 """
 
 from __future__ import annotations
@@ -32,14 +30,8 @@ from repro.kernels.numpy_kernels import SMALL_BLOCK_ENTRIES
 from repro.problems.coverage import CoverageObjective
 from repro.problems.influence import InfluenceObjective
 
-#: Kernel sets compared against baseline. The numba row stays listed so
-#: a CI leg with the wheel installed exercises it; it skips when absent.
-OPTIMIZED = ["numpy", "numba"]
-
-
-def _maybe_skip(name: str) -> None:
-    if name not in available_kernels():
-        pytest.skip(f"kernel set {name!r} not registered (optional dep)")
+#: Kernel sets compared against baseline.
+OPTIMIZED = ["numpy"]
 
 
 def _adjacency(seed: int = 3, n: int = 60):
@@ -55,10 +47,7 @@ class TestRegistry:
         assert "numpy" in names
 
     def test_default_resolution_without_numba(self):
-        if "numba" in available_kernels():
-            assert default_kernel_name() == "numba"
-        else:
-            assert default_kernel_name() == "numpy"
+        assert default_kernel_name() == "numpy"
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV_VAR, "baseline")
@@ -158,7 +147,6 @@ class TestChunkEquivalence:
 
     @pytest.mark.parametrize("name", OPTIMIZED)
     def test_dense_chunk_bitwise(self, name):
-        _maybe_skip(name)
         adjacency, g = _adjacency()
         n = g.num_nodes
         num_instances = 8
@@ -179,7 +167,6 @@ class TestChunkEquivalence:
 
     @pytest.mark.parametrize("name", OPTIMIZED)
     def test_sparse_chunk_bitwise(self, name):
-        _maybe_skip(name)
         adjacency, g = _adjacency(seed=7)
         n = g.num_nodes
         rng_a = np.random.default_rng(5)
@@ -198,7 +185,6 @@ class TestChunkEquivalence:
     def test_dense_chunk_nonuniform_probs(self, name):
         # Heterogeneous arc probabilities force the gathered comparison
         # (the uniform broadcast fast path must not be taken).
-        _maybe_skip(name)
         (indptr, indices, probs), g = _adjacency(seed=13)
         probs = np.random.default_rng(8).uniform(0.05, 0.6, size=probs.size)
         adjacency = (indptr, indices, probs)
@@ -220,7 +206,6 @@ class TestChunkEquivalence:
 
     @pytest.mark.parametrize("name", OPTIMIZED)
     def test_sparse_chunk_nonuniform_probs(self, name):
-        _maybe_skip(name)
         (indptr, indices, probs), g = _adjacency(seed=17)
         probs = np.random.default_rng(9).uniform(0.05, 0.6, size=probs.size)
         adjacency = (indptr, indices, probs)
@@ -239,7 +224,6 @@ class TestChunkEquivalence:
 
     @pytest.mark.parametrize("name", OPTIMIZED)
     def test_dense_empty_frontier(self, name):
-        _maybe_skip(name)
         # A graph with no arcs: the chunk returns exactly the starts.
         indptr = np.zeros(6, dtype=np.int64)
         adjacency = (
@@ -298,7 +282,6 @@ class TestCountEquivalence:
     )
     @pytest.mark.parametrize("mask", ["random", "all-covered"])
     def test_group_counts_bitwise(self, name, block, mask):
-        _maybe_skip(name)
         rng = np.random.default_rng(2)
         lengths, indptr, indices = self._csr(rng)
         if block == "one":
@@ -326,7 +309,6 @@ class TestCountEquivalence:
 
     @pytest.mark.parametrize("name", OPTIMIZED)
     def test_gains_rescore_bitwise(self, name):
-        _maybe_skip(name)
         rng = np.random.default_rng(4)
         ids = np.unique(rng.integers(0, 200, size=60))
         covered = rng.random(200) < 0.4
@@ -337,7 +319,6 @@ class TestCountEquivalence:
 
     @pytest.mark.parametrize("name", OPTIMIZED)
     def test_pack_chunk_keys_bitwise(self, name):
-        _maybe_skip(name)
         rng = np.random.default_rng(6)
         n, num_instances = 50, 12
         keys = np.unique(
@@ -356,7 +337,6 @@ class TestCountEquivalence:
 
     @pytest.mark.parametrize("name", OPTIMIZED)
     def test_gains_rescore_empty(self, name):
-        _maybe_skip(name)
         ids = np.zeros(0, dtype=np.int64)
         covered = np.zeros(10, dtype=bool)
         labels = np.zeros(10, dtype=np.int64)
@@ -369,7 +349,6 @@ class TestEndToEndKernelInvariance:
 
     @pytest.mark.parametrize("name", OPTIMIZED)
     def test_rr_collection_kernel_invariant(self, name):
-        _maybe_skip(name)
         g = stochastic_block_model([40, 40], 0.1, 0.02, seed=9)
         g.set_edge_probabilities(0.2)
         set_default_kernel("baseline")
@@ -388,7 +367,6 @@ class TestEndToEndKernelInvariance:
 
     @pytest.mark.parametrize("name", OPTIMIZED)
     def test_greedy_solution_kernel_invariant(self, name):
-        _maybe_skip(name)
         from repro.core.problem import BSMProblem
         from repro.datasets.registry import load_dataset
 

@@ -68,18 +68,19 @@ def test_child_killed_after_the_first_unit_keeps_that_answer(monkeypatch):
         server = TCPServer(None, port=0, shards=2, engine_config={}, batch_window=0.2)
         await server.start()
         pool = server._shard_pool
-        handle_batch = pool.handle_batch
+        submit = pool.submit
 
-        def killing(shard, requests, on_answer=None):
+        def killing(shard, requests, on_unit, on_done):
             def answer(positions, responses):
-                on_answer(positions, responses)
-                process = pool.shards[shard]._process
-                os.kill(process.pid, signal.SIGKILL)
-                killed.append(positions)
+                on_unit(positions, responses)
+                if not killed:
+                    process = pool.shards[shard]._process
+                    os.kill(process.pid, signal.SIGKILL)
+                    killed.append(positions)
 
-            return handle_batch(shard, requests, on_answer=answer)
+            submit(shard, requests, answer, on_done)
 
-        pool.handle_batch = killing
+        pool.submit = killing
         try:
             answers = await _serve_line(
                 server,
