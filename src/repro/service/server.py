@@ -112,10 +112,6 @@ RUN_TIME_KEYS = 256
 #: Content-Type of the Prometheus text exposition format.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
-#: Ops that are answered by the dispatcher itself (fan-out / fabricated
-#: ack) rather than routed to a dataset shard.
-FANOUT_OPS = ("stats", "shutdown")
-
 
 @dataclass
 class ServerStats:

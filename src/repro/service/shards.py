@@ -6,22 +6,22 @@ engine, whatever the shard count. With one shard it holds a
 :class:`~repro.service.engine.ServiceEngine` with its own engine
 thread. With N > 1 it spawns N :class:`EngineShard` worker *processes*,
 each running its own engine behind a :class:`multiprocessing.Pipe`.
-Both shard kinds have ``alive`` and ``close()``, and two ways to run a
-batch:
+Both shard kinds have ``alive`` and ``close()``, and one way to run a
+batch, ``submit(requests, on_unit, on_done)``, called on an event loop.
+It returns at once; ``on_unit(positions, responses)`` then runs on the
+loop thread once per answered unit, and ``on_done()`` once after the
+batch's last answer. A :class:`LocalShard` runs the batch on its engine
+thread and reports through ``call_soon_threadsafe``. An
+:class:`EngineShard` writes the batch to its pipe from the loop and
+parses the child's replies in a :class:`_FrameChannel` on the loop, so
+no thread sits between the socket and the pipe. Several batches may be
+in flight per shard; they are answered in the order sent.
 
-* ``submit(requests, on_unit, on_done)`` is the event loop's call. It
-  returns at once; ``on_unit(positions, responses)`` then runs on the
-  loop thread once per answered unit, and ``on_done()`` once after the
-  batch's last answer. A :class:`LocalShard` runs the batch on its
-  engine thread and reports through ``call_soon_threadsafe``. An
-  :class:`EngineShard` writes the batch to its pipe from the loop and
-  parses the child's replies in a :class:`_FrameChannel` on the loop, so
-  no thread sits between the socket and the pipe. Several batches may
-  be in flight per shard; they are answered in the order sent.
-* ``handle_batch(requests, on_answer)`` is the blocking call for
-  library and test callers: it hands every unit but the one that
-  completes the batch to ``on_answer(positions, responses)`` as it
-  arrives, and returns the whole response list in request order.
+:meth:`EngineShardPool.handle_batch` is the blocking call for library
+and test callers, built on ``submit`` with a private event loop: it
+hands every unit but the one that completes the batch to
+``on_answer(positions, responses)`` as it arrives, and returns the
+whole response list in request order.
 
 Routing is **dataset-affine**: :func:`shard_for_dataset` maps a dataset
 name to ``crc32(name) % num_shards``. Warm session state (objectives,
@@ -40,19 +40,19 @@ unit, and answers each unit as it finishes. The front-end sends one
 pipe message per batch, the list of typed requests the decoder
 produced; the child sends back one ``(positions, responses)`` message
 per unit. Messages are :class:`multiprocessing.connection.Connection`
-frames (a ``!i`` byte count, then a pickle) on both paths, so the child
-reads and writes plain ``Connection`` objects whichever parent call
-serves it. A unit that answers the wrong count answers each of its
-requests with an internal error; positions a dead child never answered
-get ``exited mid-request``; answers that already arrived stand. A child
-whose reply cannot be unpickled is killed and treated as dead. Pickle
-is safe here because only the front-end and the shard processes it
-started ever talk over a shard pipe; nothing read from a socket is
-unpickled, since network input is JSON and goes through the decoder
-before it reaches a shard. A batch that contains a ``shutdown`` op is
-answered, then the worker exits; ``None`` or EOF on the pipe stops it
-too. A shard whose child is gone refuses later batches with ``is not
-running``.
+frames (a ``!i`` byte count, then a pickle): the child reads and writes
+a plain ``Connection``, and the parent writes and parses the same
+frames in its :class:`_FrameChannel`. A unit that answers the wrong
+count answers each of its requests with an internal error; positions a
+dead child never answered get ``exited mid-request``; answers that
+already arrived stand. A child whose reply cannot be unpickled is
+killed and treated as dead. Pickle is safe here because only the
+front-end and the shard processes it started ever talk over a shard
+pipe; nothing read from a socket is unpickled, since network input is
+JSON and goes through the decoder before it reaches a shard. A batch
+that contains a ``shutdown`` op is answered, then the worker exits; EOF
+on the pipe stops it too. A shard whose child is gone refuses later
+batches with ``is not running``.
 
 Determinism: each shard is a full engine with the same construction
 knobs, and the engine is deterministic per request stream. Because
@@ -66,7 +66,7 @@ and the ``sharded`` phase of ``benchmarks/bench_load.py``).
 from __future__ import annotations
 
 import asyncio
-import functools
+import contextlib
 import os
 import pickle
 import socket
@@ -74,16 +74,16 @@ import struct
 import threading
 import zlib
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from multiprocessing.connection import Connection
 from typing import Any, Optional
 
 from repro.service.engine import ServiceEngine, coalesce_key
-from repro.service.protocol import Response, ServiceRequest, ShutdownRequest
+from repro.service.protocol import Response, ServiceRequest
 from repro.utils.parallel import process_context, reset_pools_after_fork
 
-#: Seconds to wait for a shard to ack shutdown before terminating it.
+#: Seconds to wait for a shard to exit before terminating it.
 SHUTDOWN_TIMEOUT = 10.0
 
 #: ``multiprocessing.Connection`` frame headers: a signed byte count, or
@@ -105,8 +105,8 @@ def shard_for_dataset(dataset: str, num_shards: int) -> int:
 
 
 #: ``on_answer`` / ``on_unit(positions, responses)``: one unit's answers.
-#: ``handle_batch`` reports them from the thread that runs the batch,
-#: before it returns; ``submit`` reports them on the loop thread.
+#: ``submit`` reports them on the loop thread; ``handle_batch`` reports
+#: every unit but the completing one, before it returns.
 AnswerCallback = Callable[[list[int], list[Response]], None]
 
 #: ``on_done()``: the batch's last answer has been reported.
@@ -142,39 +142,6 @@ def _checked(
     ]
 
 
-def _gather(
-    shard: LocalShard | EngineShard,
-    requests: list[ServiceRequest],
-    units: Iterable[tuple[list[int], list[Response]]],
-    on_answer: Optional[AnswerCallback],
-) -> list[Response]:
-    """Collect a batch's units into one response list in request order.
-
-    Every unit but the one that completes the batch also goes to
-    ``on_answer`` as it arrives. Positions still unanswered when
-    ``units`` runs out (a dead child) answer ``exited mid-request``.
-    """
-    if not requests:
-        return []
-    answers: list[Optional[Response]] = [None] * len(requests)
-    left = len(requests)
-    for positions, responses in units:
-        responses = _checked(shard, requests, positions, responses)
-        for pos, response in zip(positions, responses):
-            answers[pos] = response
-        left -= len(positions)
-        if not left:
-            break
-        if on_answer is not None:
-            on_answer(positions, responses)
-    return [
-        answer
-        if answer is not None
-        else _error(request, f"shard {shard.index} exited mid-request")
-        for answer, request in zip(answers, requests)
-    ]
-
-
 def _error(request: ServiceRequest, message: str) -> Response:
     """An ``ok: false`` answer worded like the error a batch would raise."""
     return Response(
@@ -197,8 +164,6 @@ def _shard_worker_main(  # pragma: no cover — runs in the child process
                 requests = conn.recv()
             except EOFError:  # the front-end closed its end
                 break
-            if requests is None:
-                break
             try:
                 for answer in _run_units(engine, requests):
                     conn.send(answer)
@@ -214,9 +179,9 @@ class LocalShard:
     """The in-process engine as shard 0 of a one-shard pool.
 
     The engine mutates shared session state with no internal locking,
-    so batches run strictly one at a time under the lock. ``submit``
-    runs every batch on the shard's one engine thread (one thread also
-    means one glibc malloc arena), in the order submitted.
+    so ``submit`` runs every batch on the shard's one engine thread, one
+    at a time in the order submitted (one thread also means one glibc
+    malloc arena).
     """
 
     index = 0
@@ -227,19 +192,7 @@ class LocalShard:
         self.dispatches = 0
         self.requests = 0
         self.units = 0
-        self._lock = threading.Lock()
         self._thread = ThreadPoolExecutor(1, thread_name_prefix="repro-shard-0")
-
-    def handle_batch(
-        self,
-        requests: list[ServiceRequest],
-        on_answer: Optional[AnswerCallback] = None,
-    ) -> list[Response]:
-        with self._lock:
-            self.dispatches += 1
-            self.requests += len(requests)
-            units = _run_units(self.engine, requests)
-            return _gather(self, requests, units, on_answer)
 
     def submit(
         self,
@@ -256,11 +209,21 @@ class LocalShard:
         """
         loop = asyncio.get_running_loop()
         batch = _Batch(requests, on_unit, on_done)
+        self.dispatches += 1
+        self.requests += len(requests)
 
         def run() -> None:
-            report = functools.partial(loop.call_soon_threadsafe, batch.answer)
+            responses: list[Optional[Response]] = [None] * len(requests)
+            left = len(requests)
             try:
-                responses = self.handle_batch(requests, report)
+                for positions, answers in _run_units(self.engine, requests):
+                    answers = _checked(self, requests, positions, answers)
+                    left -= len(positions)
+                    if not left:  # the completing unit rides with finish
+                        for pos, response in zip(positions, answers):
+                            responses[pos] = response
+                        break
+                    loop.call_soon_threadsafe(batch.answer, positions, answers)
             except Exception as exc:  # noqa: BLE001 — service boundary
                 error = f"{type(exc).__name__}: {exc}"
                 responses = [
@@ -370,7 +333,8 @@ class _FrameChannel(asyncio.Protocol):
         del buffer[:start]
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
-        self.shard.lost = True
+        if self.shard._channel is self:  # not closed on purpose
+            self.shard.lost = True
         message = f"shard {self.shard.index} exited mid-request"
         while self.sent:
             batch = self.sent.popleft()
@@ -380,11 +344,10 @@ class _FrameChannel(asyncio.Protocol):
 class EngineShard:
     """One engine worker process plus its parent-side transport.
 
-    Before :meth:`connect`, ``handle_batch`` round-trips the pipe under
-    the shard lock. After it, the shard belongs to the event loop:
-    ``submit`` writes through the :class:`_FrameChannel`, and the
-    blocking calls refuse until :meth:`close`, which closes the channel
-    before it touches the pipe again.
+    The parent speaks the pipe only through a :class:`_FrameChannel`:
+    :meth:`connect` opens one on the running loop, ``submit`` writes
+    through it, and :meth:`disconnect` closes it without marking the
+    shard lost.
     """
 
     def __init__(self, index: int, engine_kwargs: dict[str, Any]) -> None:
@@ -397,7 +360,6 @@ class EngineShard:
         ctx = process_context()
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self._conn = parent_conn
-        self._lock = threading.Lock()
         self._channel: Optional[_FrameChannel] = None
         self._process = ctx.Process(
             target=_shard_worker_main,
@@ -419,16 +381,26 @@ class EngineShard:
             lambda: _FrameChannel(self), sock=sock
         )
 
+    def disconnect(self) -> None:
+        """Close the channel; the pipe and the child stay up."""
+        channel, self._channel = self._channel, None
+        if channel is not None:
+            channel.transport.close()
+
     def submit(
         self,
         requests: list[ServiceRequest],
         on_unit: AnswerCallback,
         on_done: DoneCallback,
     ) -> None:
-        """Write one typed batch to the child; see the module docstring."""
+        """Write one typed batch to the child; see the module docstring.
+
+        An empty batch is done at once: the child would send no unit for
+        it, and it would hold the head of the channel's FIFO.
+        """
         assert self._channel is not None, "connect() first"
         batch = _Batch(requests, on_unit, on_done)
-        if not self.alive:
+        if not requests or not self.alive:
             message = f"shard {self.index} is not running"
             refusal = [_error(request, message) for request in requests]
             asyncio.get_running_loop().call_soon(batch.finish, refusal)
@@ -437,58 +409,25 @@ class EngineShard:
         self.requests += len(requests)
         self._channel.send(batch)
 
-    def handle_batch(
-        self,
-        requests: list[ServiceRequest],
-        on_answer: Optional[AnswerCallback] = None,
-    ) -> list[Response]:
-        """Round-trip one typed batch through the shard process."""
-        with self._lock:
-            if self._channel is not None:
-                raise RuntimeError(f"shard {self.index} is served by the event loop")
-            if not self._process.is_alive():
-                raise RuntimeError(f"shard {self.index} is not running")
-            self.dispatches += 1
-            self.requests += len(requests)
-            self._conn.send(requests)
-            return _gather(self, requests, self._replies(), on_answer)
-
-    def _replies(self) -> Iterator[tuple[list[int], list[Response]]]:
-        """The child's unit messages, until its end of the pipe closes."""
-        while True:
-            try:
-                yield self._conn.recv()
-            except EOFError:
-                return
-
     def kill(self) -> None:
         """Stop a child that can no longer be trusted."""
         self.lost = True
         self._process.kill()
 
     def close(self) -> None:
-        """Shut the worker down (graceful shutdown op, then terminate)."""
-        with self._lock:
-            if self._channel is not None:
-                self._channel.transport.close()
-                self._channel = None
-            if self._process.is_alive():
-                try:
-                    self._conn.send([ShutdownRequest(id="__drain__")])
-                    # Drain the ack (and any straggler replies) so the
-                    # child's final send never blocks on a full pipe.
-                    while self._conn.poll(SHUTDOWN_TIMEOUT):
-                        try:
-                            self._conn.recv()
-                        except EOFError:
-                            break
-                except (BrokenPipeError, OSError):
-                    pass
+        """Shut the pipe, so the child reads EOF and exits; terminate it
+        if it has not within :data:`SHUTDOWN_TIMEOUT`."""
+        self.disconnect()
+        # Forked siblings hold copies of this end, so closing ours alone
+        # would not reach the child; a socket shutdown does.
+        with socket.socket(fileno=os.dup(self._conn.fileno())) as sock:
+            with contextlib.suppress(OSError):  # the child is already gone
+                sock.shutdown(socket.SHUT_RDWR)
+        self._conn.close()
+        self._process.join(timeout=SHUTDOWN_TIMEOUT)
+        if self._process.is_alive():  # pragma: no cover — stuck child
+            self._process.terminate()
             self._process.join(timeout=SHUTDOWN_TIMEOUT)
-            if self._process.is_alive():  # pragma: no cover — stuck child
-                self._process.terminate()
-                self._process.join(timeout=SHUTDOWN_TIMEOUT)
-            self._conn.close()
 
 
 class EngineShardPool:
@@ -529,6 +468,7 @@ class EngineShardPool:
             self.shards = [EngineShard(i, config) for i in range(num_shards)]
             self._workers = config.get("workers")
         self._closed = False
+        self._blocking = threading.Lock()
 
     async def connect(self) -> None:
         """Hand every process shard's pipe to the running loop."""
@@ -549,8 +489,40 @@ class EngineShardPool:
         requests: list[ServiceRequest],
         on_answer: Optional[AnswerCallback] = None,
     ) -> list[Response]:
-        """Run a batch on one shard; see the module's transport framing."""
-        return self.shards[shard_index].handle_batch(requests, on_answer)
+        """Run a batch on one shard and wait for it; see the module docstring.
+
+        The batch goes through ``submit`` on a private event loop, and
+        blocking callers take turns. A process shard already served by a
+        running loop refuses.
+        """
+        shard = self.shards[shard_index]
+        answers: list[Any] = [None] * len(requests)
+        left = len(requests)
+
+        def on_unit(positions: list[int], responses: list[Response]) -> None:
+            nonlocal left
+            for pos, response in zip(positions, responses):
+                answers[pos] = response
+            left -= len(positions)
+            if left and on_answer is not None:
+                on_answer(positions, responses)
+
+        async def run() -> None:
+            done = asyncio.get_running_loop().create_future()
+            if isinstance(shard, EngineShard):
+                await shard.connect()
+            try:
+                shard.submit(requests, on_unit, lambda: done.set_result(None))
+                await done
+            finally:
+                if isinstance(shard, EngineShard):
+                    shard.disconnect()
+
+        with self._blocking:
+            if isinstance(shard, EngineShard) and shard._channel is not None:
+                raise RuntimeError(f"shard {shard.index} is served by the event loop")
+            asyncio.run(run())
+        return answers
 
     def submit(
         self,

@@ -537,22 +537,6 @@ class WorkerPool:
             if cleanup is not None:
                 cleanup()
 
-    def submit(self, fn: Callable[..., Any], *args: Any) -> Any:
-        """Submit one plain callable, returning its ``Future``.
-
-        This satisfies the ``Executor`` protocol that
-        ``loop.run_in_executor`` expects, so the asyncio TCP front-end
-        (:mod:`repro.service.server`) can funnel engine batches onto the
-        persistent pool directly. Thread backend only: a process pool
-        would pickle ``fn``, and the server's engine-bound callables are
-        not picklable (nor should engine state ever cross a fork).
-        """
-        if self.backend != "thread":
-            raise ValueError("submit() requires the thread backend")
-        self.dispatches += 1
-        self.tasks_run += 1
-        return self._executor.submit(fn, *args)
-
     def shutdown(self) -> None:
         self._executor.shutdown(wait=True)
 

@@ -23,7 +23,6 @@ from repro.service.protocol import (
     request_from_dict,
 )
 from repro.service.server import MAX_BATCH, TCPServer
-from repro.utils.parallel import WorkerPool, fork_available, get_pool
 
 DATASET = "rand-mc-c2"
 IM_DATASET = "rand-im-c2"
@@ -919,22 +918,3 @@ class TestRequestCLIWireVersion:
         }
         assert self._send(json.dumps(envelope)) == envelope
         assert capsys.readouterr().out.strip() == self.CANNED
-
-
-class TestWorkerPoolSubmit:
-    def test_thread_pool_satisfies_executor_protocol(self):
-        pool = get_pool("thread", 2)
-        before = pool.tasks_run
-        future = pool.submit(max, 3, 41)
-        assert future.result() == 41
-        assert pool.tasks_run == before + 1
-
-    def test_process_pool_rejects_submit(self):
-        if not fork_available():  # pragma: no cover - platform guard
-            pytest.skip("fork not available")
-        pool = WorkerPool("process", 2)
-        try:
-            with pytest.raises(ValueError, match="thread backend"):
-                pool.submit(max, 1, 2)
-        finally:
-            pool.shutdown()

@@ -105,6 +105,36 @@ def test_child_killed_after_the_first_unit_keeps_that_answer(monkeypatch):
     assert identity
 
 
+@pytest.mark.parametrize("shards", [1, 2])
+def test_a_client_gone_during_drain_is_discarded_and_the_drain_ends(
+    shards, monkeypatch
+):
+    if shards > 1 and not fork_available():  # pragma: no cover - platform guard
+        pytest.skip("the shard child must fork")
+    # Every shard engine, in-process or forked, is built from this name.
+    monkeypatch.setattr(shards_module, "ServiceEngine", SlowOnIdEngine)
+
+    async def scenario():
+        server = TCPServer(
+            None, port=0, shards=shards, engine_config={}, batch_window=0.0
+        )
+        await server.start()
+        _, writer = await asyncio.open_connection(server.host, server.port)
+        writer.write((json.dumps(_request("solve", "slow", k=3)) + "\n").encode())
+        await writer.drain()
+        while not server._pending:  # admitted and on its way to a shard
+            await asyncio.sleep(0.01)
+        server.request_drain()
+        writer.close()  # the client leaves before its answer arrives
+        await asyncio.wait_for(server.wait_closed(), 60.0)
+        return _settled(server), server.stats.responses_discarded
+
+    (pending, identity), discarded = asyncio.run(asyncio.wait_for(scenario(), 120.0))
+    assert pending == 0
+    assert discarded == 1
+    assert identity
+
+
 class ShortUnitEngine(ServiceEngine):
     """Engine that drops the last answer of any unit holding a request
     whose id starts with ``short``."""
