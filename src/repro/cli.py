@@ -200,10 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--batch-window-ms", type=float, default=5.0,
         help=(
-            "TCP micro-batching: the longest a greedy solve with no "
-            "same-key partner queued waits for one (capped further by "
-            "the last measured run of that key), so compatible solves "
-            "coalesce across connections; other requests never wait"
+            "TCP micro-batching: the longest a greedy solve alone in "
+            "its shard's queue waits for a same-key partner (capped "
+            "further by the last measured run of that key), so "
+            "compatible solves coalesce across connections; any request "
+            "queued behind it ends the wait, and other requests never wait"
         ),
     )
     serve.add_argument(

@@ -34,12 +34,15 @@ socket to the shard and back; no task or thread hop is made per request:
   different connections batch together. A kick takes the head plus
   everything queued behind it (up to :data:`MAX_BATCH`) as one engine
   batch while the shard has fewer than ``max_inflight`` batches out
-  (see :meth:`TCPServer._kick`). Only a greedy head with no same-key
-  partner queued waits, on one timer, for at most the run a partner
-  would save. Requests from *different connections* therefore still
-  coalesce like members of one array line: many users asking for the
-  same dataset's seeds collapse into one shared greedy run on that
-  dataset's shard (the engine's prefix-replay guarantee keeps each
+  (see :meth:`TCPServer._kick`). Only a greedy head alone in its queue
+  waits, on one timer, for at most the run a partner would save; once
+  anything queues behind it, it goes at once with everything queued,
+  since in a closed loop that request may be what its partner's client
+  waits on. A same-key partner in the batch still coalesces, so
+  requests from *different connections* coalesce like members of one
+  array line: many users asking for the same dataset's seeds collapse
+  into one shared greedy run on that dataset's shard (the engine's
+  prefix-replay guarantee keeps each
   response bitwise-identical to a sequential solve). The batch runs
   unit by unit (each coalesced group, then every other request alone;
   :meth:`~repro.service.engine.ServiceEngine.plan`), and each request
@@ -78,7 +81,6 @@ import signal
 import time
 from collections import deque
 from dataclasses import asdict, dataclass
-from itertools import islice
 from typing import Any, Optional
 
 from repro.service.engine import ServiceEngine
@@ -124,6 +126,11 @@ class ServerStats:
     unparseable-JSON line counts as one invalid request). Oversized
     lines are torn down before parsing and tracked separately in
     ``oversized_lines``.
+
+    ``window_waits`` counts the batch-window timers armed for a greedy
+    head alone in its shard's queue, and ``window_expired`` those that
+    fired with the head still alone: waits that nothing queued behind
+    the head cut short.
     """
 
     connections_total: int = 0
@@ -136,6 +143,8 @@ class ServerStats:
     batches_dispatched: int = 0
     oversized_lines: int = 0
     responses_discarded: int = 0
+    window_waits: int = 0
+    window_expired: int = 0
 
 
 class _Line:
@@ -544,11 +553,16 @@ class TCPServer:
         A batch is its head plus everything queued behind it, up to
         :data:`MAX_BATCH`. A head that cannot coalesce goes at once, so a
         lone request on an idle shard reaches the engine without a wait.
-        A coalescable head with no same-key partner queued (keys of
-        :func:`~repro.service.engine.coalesce_key`) waits for one on a
-        timer, at most ``min(batch_window, last measured run of its key
-        on this shard)``: never longer than the run a partner would
-        save. A key not measured yet waits the whole window. Requests
+        A coalescable head (keys of
+        :func:`~repro.service.engine.coalesce_key`) waits for a partner
+        on a timer only while it is alone in the queue, at most
+        ``min(batch_window, last measured run of its key on this
+        shard)``: never longer than the run a partner would save. A key
+        not measured yet waits the whole window. Once anything queues
+        behind the head it goes at once with everything queued (in a
+        closed loop, that request may be what the partner's client
+        waits on), and a same-key partner among them still coalesces in
+        :meth:`~repro.service.engine.ServiceEngine.plan`. Requests
         arriving while the shard has ``max_inflight`` batches out queue
         up and form the next one.
         """
@@ -565,12 +579,7 @@ class TCPServer:
         queue = self._queues[shard]
         key = queue[0].key
         timer = self._timers[shard]
-        if (
-            key is None
-            or self._draining
-            or len(queue) >= MAX_BATCH
-            or any(member.key == key for member in islice(queue, 1, MAX_BATCH))
-        ):
+        if key is None or self._draining or len(queue) > 1:
             if timer is not None:
                 timer.cancel()
                 self._timers[shard] = None
@@ -584,11 +593,14 @@ class TCPServer:
                 return True
             assert self._loop is not None
             self._timers[shard] = self._loop.call_later(wait, self._expire, shard)
+            self.stats.window_waits += 1
         return False
 
     def _expire(self, shard: int) -> None:
-        """The lone head waited its bound: it goes with what is queued."""
+        """The head waited its bound: it goes with what is queued."""
         self._timers[shard] = None
+        if len(self._queues[shard]) == 1:
+            self.stats.window_expired += 1
         self._dispatch(shard)
         self._kick(shard)
 
@@ -674,6 +686,8 @@ class TCPServer:
             ("batches_dispatched", "Micro-batches handed to engines."),
             ("oversized_lines", "Connections dropped for oversized lines."),
             ("responses_discarded", "Responses dropped on dead connections."),
+            ("window_waits", "Batch-window waits armed for a lone greedy head."),
+            ("window_expired", "Batch-window waits that expired with the head alone."),
         ):
             suffix = "" if field_name.endswith("_total") else "_total"
             emit(

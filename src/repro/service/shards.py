@@ -149,11 +149,21 @@ def _error(request: ServiceRequest, message: str) -> Response:
     )
 
 
+#: The parent's ends of every open shard pipe. A forked child closes its
+#: copies first thing: a child holding the parent end of its own pipe,
+#: or of an elder sibling's, would never read EOF once the front-end is
+#: gone, and would outlive it.
+_PARENT_ENDS: set[Connection] = set()
+
+
 def _shard_worker_main(  # pragma: no cover — runs in the child process
     conn: Connection, engine_kwargs: dict[str, Any]
 ) -> None:
     """Entry point of one shard process: answer typed batches over the pipe,
     one message per unit."""
+    for parent_end in _PARENT_ENDS:  # empty unless forked
+        parent_end.close()
+    _PARENT_ENDS.clear()
     # A fork copies the parent's pool registry but none of its worker
     # threads; drop it before the engine's first parallel dispatch.
     reset_pools_after_fork()
@@ -360,7 +370,10 @@ class EngineShard:
         ctx = process_context()
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self._conn = parent_conn
+        _PARENT_ENDS.add(parent_conn)
         self._channel: Optional[_FrameChannel] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._sock: Optional[socket.socket] = None
         self._process = ctx.Process(
             target=_shard_worker_main,
             args=(child_conn, engine_kwargs),
@@ -376,15 +389,25 @@ class EngineShard:
 
     async def connect(self) -> None:
         """Serve this shard from the running loop from now on."""
-        sock = socket.socket(fileno=os.dup(self._conn.fileno()))
-        _, self._channel = await asyncio.get_running_loop().create_unix_connection(
-            lambda: _FrameChannel(self), sock=sock
+        self._loop = asyncio.get_running_loop()
+        self._sock = socket.socket(fileno=os.dup(self._conn.fileno()))
+        _, self._channel = await self._loop.create_unix_connection(
+            lambda: _FrameChannel(self), sock=self._sock
         )
 
     def disconnect(self) -> None:
-        """Close the channel; the pipe and the child stay up."""
+        """Close the channel; the pipe and the child stay up.
+
+        A channel whose loop is already closed cannot schedule its own
+        close there, so its socket is closed directly.
+        """
         channel, self._channel = self._channel, None
-        if channel is not None:
+        if channel is None:
+            return
+        assert self._loop is not None and self._sock is not None
+        if self._loop.is_closed():
+            self._sock.close()
+        else:
             channel.transport.close()
 
     def submit(
@@ -418,11 +441,13 @@ class EngineShard:
         """Shut the pipe, so the child reads EOF and exits; terminate it
         if it has not within :data:`SHUTDOWN_TIMEOUT`."""
         self.disconnect()
-        # Forked siblings hold copies of this end, so closing ours alone
-        # would not reach the child; a socket shutdown does.
+        # Other processes forked while this end was open (say, by a
+        # library caller) may hold copies of it, so closing ours alone
+        # might not reach the child; a socket shutdown does.
         with socket.socket(fileno=os.dup(self._conn.fileno())) as sock:
             with contextlib.suppress(OSError):  # the child is already gone
                 sock.shutdown(socket.SHUT_RDWR)
+        _PARENT_ENDS.discard(self._conn)
         self._conn.close()
         self._process.join(timeout=SHUTDOWN_TIMEOUT)
         if self._process.is_alive():  # pragma: no cover — stuck child

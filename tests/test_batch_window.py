@@ -1,8 +1,10 @@
 """The batch loop waits only for a partner that can still come.
 
 A head that cannot coalesce is dispatched at once. A greedy head waits
-for a same-key partner, at most ``min(batch_window, last measured run of
-its key on the shard)``, and a partner ends the wait. Every call that
+for a partner only while it is alone in its shard's queue, at most
+``min(batch_window, last measured run of its key on the shard)``. Any
+request queued behind it ends the wait: the head goes with everything
+queued, and a same-key partner among them coalesces. Every call that
 reaches the in-process shard runs on its one engine thread; process
 shards are submitted to from the event loop thread.
 """
@@ -174,6 +176,68 @@ def test_a_partner_ends_the_wait_of_an_unmeasured_key():
     assert engine.coalesced_runs == 1
     assert all(answer["result"]["extra"]["coalesced"] for answer in answers)
     assert elapsed < 1.5, elapsed
+
+
+def test_a_non_partner_queued_behind_ends_the_wait():
+    """In a closed loop the other client's request may be the one its
+    partner waits on, so the head does not sit on it for the window."""
+    engine = _warm_engine()
+
+    async def scenario():
+        server = TCPServer(engine, port=0, batch_window=2.0)
+        await server.start()
+        try:
+            conn_a = await asyncio.open_connection(server.host, server.port)
+            conn_b = await asyncio.open_connection(server.host, server.port)
+            start = time.perf_counter()
+            _send(conn_a[1], _solve("a", 2))
+            await conn_a[1].drain()
+            await asyncio.sleep(0.1)
+            _send(conn_b[1], _evaluate("b"))
+            await conn_b[1].drain()
+            answers = [await _answer(conn_a[0]), await _answer(conn_b[0])]
+            elapsed = time.perf_counter() - start
+            for _, writer in (conn_a, conn_b):
+                writer.close()
+        finally:
+            await server.drain()
+        return answers, elapsed, server.stats
+
+    answers, elapsed, stats = run_async(scenario())
+    assert all(answer["ok"] for answer in answers)
+    assert "coalesced" not in answers[0]["result"]["extra"]
+    assert elapsed < 1.0, elapsed
+    assert (stats.window_waits, stats.window_expired) == (1, 0)
+
+
+def test_a_lone_heads_expiry_counts_once():
+    engine = _warm_engine()
+
+    async def scenario():
+        server = TCPServer(engine, port=0, batch_window=0.2)
+        await server.start()
+        try:
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            start = time.perf_counter()
+            _send(writer, _solve("lone", 2))
+            await writer.drain()
+            lone = await _answer(reader)
+            elapsed = time.perf_counter() - start
+            _send(writer, _payload("stats", "st"))
+            await writer.drain()
+            stats = await _answer(reader)
+            writer.close()
+            return lone, elapsed, stats, server.metrics_text()
+        finally:
+            await server.drain()
+
+    lone, elapsed, stats, metrics = run_async(scenario())
+    assert lone["ok"] and elapsed >= 0.2
+    server = stats["result"]["server"]
+    assert (server["window_waits"], server["window_expired"]) == (1, 1)
+    lines = metrics.splitlines()
+    assert "repro_window_waits_total 1" in lines
+    assert "repro_window_expired_total 1" in lines
 
 
 class ThreadRecordingEngine(ServiceEngine):
