@@ -185,8 +185,8 @@ def run_figure(
     """Execute every panel of ``figure_id`` and return name -> sweep.
 
     ``workers`` spreads each panel's RR sampling and Monte-Carlo
-    evaluation over a process pool (see :mod:`repro.utils.parallel`);
-    any positive count returns identical sweeps.
+    evaluation over a worker pool (see :mod:`repro.utils.parallel`,
+    threads by default); any positive count returns identical sweeps.
     """
     if figure_id not in FIGURES:
         raise KeyError(
@@ -250,7 +250,7 @@ def run_figure9(
     from repro.core.baselines import greedy_utility
     from repro.core.bsm_saturate import bsm_saturate
     from repro.core.saturate import saturate as run_saturate
-    from repro.experiments.harness import _objective_for
+    from repro.service.session import SolverSession
     from repro.utils.rng import as_generator
 
     small = scale == "small"
@@ -262,14 +262,10 @@ def run_figure9(
     fl2 = load_dataset("rand-fl-c2", seed=seed)
     panels["a: RAND (MC, c=2)"] = mc2.objective
     panels["b: RAND (MC, c=4)"] = mc4.objective
-    # Built through the harness's shared objective builder so figure 9
-    # derives its sampling seed the same way the sweeps do. (Each runner
-    # loads its own graph object, so the identity-keyed cache does not
-    # share samples across separate runs — only within one.)
-    panels["c: RAND (IM, c=2)"] = _objective_for(
-        im2,
-        seed=int(as_generator(seed).integers(0, 2**62)),
+    # Sampled with the first sub-seed the sweeps derive from ``seed``.
+    panels["c: RAND (IM, c=2)"] = SolverSession(im2).objective(
         im_samples=1_000 if small else 10_000,
+        sample_seed=int(as_generator(seed).integers(0, 2**62)),
         workers=workers,
     )
     panels["d: RAND (FL, c=2)"] = fl2.objective

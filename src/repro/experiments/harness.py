@@ -17,11 +17,13 @@ Implementation notes mirroring the paper's Section 5:
 * For influence instances the greedy runs on RIS estimates, but reported
   ``f(S)``/``g(S)`` come from independent Monte-Carlo simulation
   (``mc_simulations``; the paper uses 10,000).
-* Influence sweeps reuse one sampled RR collection and one evaluation
-  cascade bundle across all tau/k sweep points (module-level caches keyed
-  by seed, dataset and graph identity — the scaling-notes
-  recommendation of DESIGN.md §6), so repeated sweep points pay for
-  solver time only.
+* Influence sweeps sample one RR collection and score through one
+  Monte-Carlo cascade bundle per distinct solution, both held by the
+  :class:`~repro.service.session.SolverSession` the sweep runs on, so
+  repeated sweep points pay for solver time only. A caller that passes
+  the same session to several sweeps (the service's ``sweep`` and
+  ``pareto`` ops pass the request's warm session) shares them across
+  sweeps; without one, each sweep builds a session for that call.
 * ``OPT'_g`` (the dashed green line) is ``Saturate``'s value; the solid
   line ``OPT_g`` comes from the ILP when the instance is small enough.
 """
@@ -39,6 +41,7 @@ from repro.core.saturate import saturate
 from repro.core.smsc import smsc
 from repro.core.tsgreedy import bsm_tsgreedy
 from repro.datasets.registry import Dataset
+from repro.service.session import SolverSession
 from repro.utils.rng import SeedLike, as_generator
 
 #: Algorithms that depend on tau (curves); the rest are flat baselines.
@@ -92,49 +95,19 @@ class SweepResult:
         return list(seen)
 
 
-# Sampled-collection and Monte-Carlo-evaluation reuse lives in the
-# service layer's warm sessions (repro.service.session): RR sampling and
-# the 10,000-cascade evaluation dominate influence sweeps (DESIGN.md
-# section 6), and a tau/k sweep re-scores the same graph -- often the
-# same solution -- at every sweep point. `shared_session` keys sessions
-# by dataset identity; an in-place `add_edge`/`set_arc_probability`
-# between sweeps bumps `Graph.version` and the session *repairs* its
-# warm objective against the mutation delta (DESIGN.md section 9) --
-# only RR sets touching changed arcs are regenerated, from CSR caches
-# that `set_arc_probability` patches rather than rebuilds -- while
-# whole-graph rewrites (`set_edge_probabilities`) fall back to a full
-# resample. Every cache is a byte-budgeted LRU (`repro.utils.caching`),
-# so a long-lived batch process cannot leak -- the unbounded module
-# dicts that used to live here are gone. The `repro serve` engine keeps
-# its own session registry, and sweeps sample with seeds derived from
-# the sweep seed, so a sweep does not reuse a service solve's warm
-# objective (nor the other way round); a `sweep` op served by the
-# daemon reuses the objectives of earlier sweeps on the same dataset.
-
-
-def _objective_for(
-    dataset: Dataset,
-    *,
-    seed: int,
-    im_samples: int,
-    workers: Optional[int] = None,
-) -> GroupedObjective:
-    """Materialise the solvable objective via the dataset's warm session.
-
-    Influence objectives (an RR-set sampling pass plus the packed
-    inverted index) are cached per ``(dataset, samples, seed)`` so the
-    tau sweep and k sweep of one figure -- and repeated panels across
-    figures -- share a single sampled collection.
-    """
-    from repro.service.session import shared_session
-
-    return shared_session(dataset).objective(
-        im_samples=im_samples, sample_seed=seed, workers=workers
-    )
+def _session_for(
+    dataset: Dataset, session: Optional[SolverSession]
+) -> SolverSession:
+    """The session a sweep runs on: the caller's, or a fresh one."""
+    if session is None:
+        return SolverSession(dataset)
+    if session.dataset is not dataset:
+        raise ValueError("session was built for a different dataset")
+    return session
 
 
 def _score(
-    dataset: Dataset,
+    session: SolverSession,
     result: SolverResult,
     *,
     mc_simulations: int,
@@ -151,11 +124,9 @@ def _score(
     common random numbers, so cross-algorithm differences are not
     sampling noise.
     """
-    if dataset.kind != "influence" or mc_simulations <= 0:
+    if session.dataset.kind != "influence" or mc_simulations <= 0:
         return result.utility, result.fairness
-    from repro.service.session import shared_session
-
-    return shared_session(dataset).evaluate_mc(
+    return session.evaluate_mc(
         result.solution,
         mc_simulations=mc_simulations,
         mc_seed=seed,
@@ -218,12 +189,17 @@ def sweep_tau(
     ilp_backend: str = "scipy",
     seed: SeedLike = 0,
     workers: Optional[int] = None,
+    session: Optional[SolverSession] = None,
 ) -> SweepResult:
     """Vary the balance factor ``tau`` at fixed ``k`` (Figs. 3/5/7/10).
 
     ``workers`` spreads RR sampling and Monte-Carlo evaluation over a
-    process pool (:mod:`repro.utils.parallel`); solver rows are
-    unaffected. Results are identical for every positive worker count.
+    worker pool (:mod:`repro.utils.parallel`, threads by default);
+    solver rows are unaffected. Results are identical for every
+    positive worker count. ``session`` is the warm
+    :class:`~repro.service.session.SolverSession` of ``dataset`` to
+    sample and score through (``None`` = a fresh one for this call);
+    its storage tier does not change the rows.
     """
     # Derive integer sub-seeds up front: they key the sampling/evaluation
     # caches and keep the streams deterministic whether or not a cached
@@ -231,8 +207,9 @@ def sweep_tau(
     rng = as_generator(seed)
     sample_seed = int(rng.integers(0, 2**62))
     mc_seed = int(rng.integers(0, 2**62))
-    objective = _objective_for(
-        dataset, seed=sample_seed, im_samples=im_samples, workers=workers
+    session = _session_for(dataset, session)
+    objective = session.objective(
+        im_samples=im_samples, sample_seed=sample_seed, workers=workers
     )
     algorithms = list(algorithms)
     if include_optimal and "BSM-Optimal" not in algorithms:
@@ -286,7 +263,7 @@ def sweep_tau(
                 exact_opt=exact_opt,
             )
             f_val, g_val = _score(
-                dataset, result,
+                session, result,
                 mc_simulations=mc_simulations,
                 seed=mc_seed,
                 workers=workers,
@@ -321,17 +298,18 @@ def sweep_k(
     mc_simulations: int = 1_000,
     seed: SeedLike = 0,
     workers: Optional[int] = None,
+    session: Optional[SolverSession] = None,
 ) -> SweepResult:
     """Vary the solution size ``k`` at fixed ``tau`` (Figs. 4/6/8/11).
 
-    ``workers`` spreads RR sampling and Monte-Carlo evaluation over a
-    process pool, exactly as in :func:`sweep_tau`.
+    ``workers`` and ``session`` work exactly as in :func:`sweep_tau`.
     """
     rng = as_generator(seed)
     sample_seed = int(rng.integers(0, 2**62))
     mc_seed = int(rng.integers(0, 2**62))
-    objective = _objective_for(
-        dataset, seed=sample_seed, im_samples=im_samples, workers=workers
+    session = _session_for(dataset, session)
+    objective = session.objective(
+        im_samples=im_samples, sample_seed=sample_seed, workers=workers
     )
     algorithms = list(algorithms)
     if objective.num_groups != 2 and "SMSC" in algorithms:
@@ -349,7 +327,7 @@ def sweep_k(
                 epsilon=epsilon, ilp_backend="branch-and-bound",
             )
             f_val, g_val = _score(
-                dataset, result,
+                session, result,
                 mc_simulations=mc_simulations,
                 seed=mc_seed,
                 workers=workers,

@@ -44,7 +44,7 @@ from repro.service.protocol import (
     encode_request,
     encode_response,
 )
-from repro.service.session import SolverSession, shared_session
+from repro.service.session import SolverSession
 
 __all__ = [
     "EvaluateRequest",
@@ -64,5 +64,4 @@ __all__ = [
     "encode_request",
     "encode_response",
     "serve_forever",
-    "shared_session",
 ]

@@ -1,11 +1,11 @@
 """Request dispatch and coalescing over warm solver sessions.
 
-:class:`ServiceEngine` is the service's brain: it owns a bounded
-registry of :class:`~repro.service.session.SolverSession` instances
-(one per ``(dataset, seed)``), dispatches typed requests through the
-solver registry of :class:`~repro.core.problem.BSMProblem`, and
-coalesces compatible concurrent ``solve`` requests into one shared
-batched run.
+:class:`ServiceEngine` is the service's brain: it owns the process's
+only registry of :class:`~repro.service.session.SolverSession`
+instances (one per ``(dataset, seed, store, memory budget)``, LRU),
+dispatches typed requests through the solver registry of
+:class:`~repro.core.problem.BSMProblem`, and coalesces compatible
+concurrent ``solve`` requests into one shared batched run.
 
 Coalescing rule
 ---------------
@@ -150,8 +150,6 @@ class ServiceEngine:
         return self._sessions.get_or_create(key, build)
 
     def stats(self) -> dict[str, Any]:
-        from repro.service.session import shared_session_stats
-
         sessions = [
             self._sessions.peek(key).stats() for key in self._sessions.keys()
         ]
@@ -175,10 +173,6 @@ class ServiceEngine:
             "pools": pool_stats(),
             "sessions": sessions,
             "session_registry": self._sessions.stats.as_dict(),
-            # In-process batch jobs (the sweep harness) keep their warm
-            # state in the module-level shared sessions; surfacing them
-            # here makes sweep-op reuse observable to clients.
-            "shared_sessions": shared_session_stats(),
         }
 
     # -- dispatch ----------------------------------------------------------
@@ -434,32 +428,54 @@ class ServiceEngine:
             cache=session.stats(),
         )
 
-    def _op_sweep(self, request: ServiceRequest) -> Response:
+    def _sweep(
+        self,
+        request: ServiceRequest,
+        parameter: str,
+        values: list[float],
+        algorithms: tuple[str, ...],
+    ) -> tuple[SolverSession, Any, bool]:
+        """Run a harness sweep on the request's session.
+
+        The sweep samples and scores through the session with seeds it
+        derives from the request seed, so it is warm, as a solve is, when
+        it reused a collection or an evaluation bundle. Returns the
+        session, the sweep and that flag.
+        """
         from repro.experiments.harness import sweep_k, sweep_tau
 
-        # Warm here means dataset-level reuse: the sweep's sampling
-        # reuse happens inside the harness's shared session (reported
-        # via the stats op), not this engine session.
-        session, warm = self._session_for(request)
+        session, reused = self._session_for(request)
+        probe = self._WarmProbe(
+            session, reused,
+            session.objective_cache, session.evaluation_cache,
+        )
         kwargs: dict[str, Any] = {
             "im_samples": request.im_samples,
             "mc_simulations": request.mc_simulations,
             "seed": request.seed,
             "workers": self._workers(request),
+            "session": session,
         }
-        if request.algorithms:
-            kwargs["algorithms"] = list(request.algorithms)
-        if request.parameter == "tau":
-            values = request.values or (0.1, 0.3, 0.5, 0.7, 0.9)
-            sweep = sweep_tau(
-                session.dataset, request.k, list(values), **kwargs
-            )
+        if algorithms:
+            kwargs["algorithms"] = list(algorithms)
+        if parameter == "tau":
+            sweep = sweep_tau(session.dataset, request.k, values, **kwargs)
         else:
-            values = request.values or (2.0, 5.0, 10.0)
             sweep = sweep_k(
                 session.dataset, [int(v) for v in values], request.tau,
                 **kwargs,
             )
+        return session, sweep, probe.warm
+
+    def _op_sweep(self, request: ServiceRequest) -> Response:
+        if request.parameter == "tau":
+            default = (0.1, 0.3, 0.5, 0.7, 0.9)
+        else:
+            default = (2.0, 5.0, 10.0)
+        session, sweep, warm = self._sweep(
+            request, request.parameter, list(request.values or default),
+            request.algorithms,
+        )
         rows = [
             {
                 "algorithm": row.algorithm,
@@ -489,22 +505,11 @@ class ServiceEngine:
         )
 
     def _op_pareto(self, request: ServiceRequest) -> Response:
-        from repro.experiments.harness import sweep_tau
         from repro.experiments.pareto import hypervolume, pareto_frontier
 
-        session, warm = self._session_for(request)
-        algorithms = list(request.algorithms) or [
-            "BSM-TSGreedy", "BSM-Saturate",
-        ]
+        algorithms = request.algorithms or ("BSM-TSGreedy", "BSM-Saturate")
         taus = list(request.values) or [0.1, 0.3, 0.5, 0.7, 0.9]
-        sweep = sweep_tau(
-            session.dataset, request.k, taus,
-            algorithms=algorithms,
-            im_samples=request.im_samples,
-            mc_simulations=request.mc_simulations,
-            seed=request.seed,
-            workers=self._workers(request),
-        )
+        session, sweep, warm = self._sweep(request, "tau", taus, algorithms)
         frontiers: dict[str, Any] = {}
         for algorithm in algorithms:
             frontier = pareto_frontier(sweep, algorithm)

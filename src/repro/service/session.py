@@ -19,14 +19,13 @@ repeated BSM requests at one ``k`` compute them once
 ``subresults`` block of :meth:`SolverSession.stats` sums the memo's
 hits, misses and entries over the session's objectives.
 
-Two registries hold sessions. The ``repro serve`` engine
-(:class:`~repro.service.engine.ServiceEngine`) keeps its own LRU of
-sessions keyed by ``(dataset, seed, store, memory budget)``. The
-experiment harness (:mod:`repro.experiments.harness`) goes through the
-module-level :func:`shared_session` registry, keyed by the loaded
-dataset object, and samples with seeds it derives from the sweep seed.
-The two share the session class and its caches' code, not warm state:
-a service ``solve`` does not warm a sweep, nor the other way round.
+The ``repro serve`` engine (:class:`~repro.service.engine.ServiceEngine`)
+keeps the only registry of sessions: an LRU keyed by ``(dataset, seed,
+store, memory budget)``, whose eviction drops a session's warm state.
+Its ``sweep`` and ``pareto`` ops run the harness sweeps on the request's
+session. A batch caller of :func:`~repro.experiments.harness.sweep_tau`
+or :func:`~repro.experiments.harness.sweep_k` passes its own session, or
+gets a fresh one for that call.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from repro.core.functions import GroupedObjective
 from repro.core.problem import BSMProblem
 from repro.core.result import SolverResult
 from repro.datasets.registry import Dataset
-from repro.utils.caching import BoundedCache, lru_bound
+from repro.utils.caching import BoundedCache
 
 #: Default byte budgets. Objectives dominate (a 30k-sample RR collection
 #: on a few thousand nodes is tens of MB); evaluation bundles are a few
@@ -46,10 +45,6 @@ from repro.utils.caching import BoundedCache, lru_bound
 #: solutions cannot grow without bound.
 DEFAULT_OBJECTIVE_BUDGET = 256 * 1024 * 1024
 DEFAULT_EVAL_BUDGET = 8 * 1024 * 1024
-#: Capacity of the module-level session registry (count, not bytes —
-#: sessions grow after creation, so their internal caches self-bound
-#: instead).
-MAX_SHARED_SESSIONS = 16
 #: Live dynamic maximizers kept per session (count-LRU: each pins an
 #: ObjectiveState sized by its objective, and a long-lived daemon must
 #: not accumulate one per distinct update configuration forever).
@@ -473,49 +468,3 @@ class SolverSession:
         return (
             self._objectives.current_bytes + self._evaluations.current_bytes
         )
-
-
-def _session_key(dataset: Dataset) -> tuple:
-    # Keyed by dataset identity only: the session's own caches key every
-    # entry on the RNG decomposition law, so one session serves both laws.
-    anchor = dataset.graph if dataset.graph is not None else dataset.objective
-    return (dataset.name, id(anchor))
-
-
-def _session_valid(session: SolverSession, dataset: Dataset) -> bool:
-    # Identity pin against id() recycling.
-    ours = session.dataset
-    return (
-        ours.graph is dataset.graph
-        if dataset.graph is not None
-        else ours.objective is dataset.objective
-    )
-
-
-@lru_bound(
-    MAX_SHARED_SESSIONS,
-    key=_session_key,
-    validate=_session_valid,
-    sizeof=lambda session: 1,  # registry bounds session *count*, not bytes
-)
-def shared_session(dataset: Dataset) -> SolverSession:
-    """The module-level warm session for a loaded dataset.
-
-    Keyed by dataset identity (two ``load_dataset`` calls produce
-    independent instances, exactly like the old harness caches); the
-    registry holds at most :data:`MAX_SHARED_SESSIONS` sessions, LRU.
-    The sweep harness goes through here, so repeated sweeps against the
-    same loaded dataset share warm state.
-    """
-    return SolverSession(dataset)
-
-
-def reset_shared_sessions() -> None:
-    """Drop every shared session (tests and benchmarks)."""
-    shared_session.cache_clear()  # type: ignore[attr-defined]
-
-
-def shared_session_stats() -> list[dict[str, Any]]:
-    """Stats of every live shared session (the ``stats`` op reports it)."""
-    cache = shared_session.cache  # type: ignore[attr-defined]
-    return [cache.peek(key).stats() for key in cache.keys()]

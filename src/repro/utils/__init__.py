@@ -9,7 +9,6 @@ from repro.utils.caching import (
     BoundedCache,
     CacheStats,
     estimate_nbytes,
-    lru_bound,
 )
 from repro.utils.parallel import (
     SharedArrays,
@@ -61,7 +60,6 @@ __all__ = [
     "estimate_nbytes",
     "fork_available",
     "get_pool",
-    "lru_bound",
     "paired_sign_test",
     "parallel_imap",
     "parallel_map",

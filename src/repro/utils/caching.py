@@ -1,26 +1,26 @@
 """Byte-budgeted LRU caching for long-lived processes.
 
-The harness and the service layer keep expensive derived state warm
-across requests — sampled RR collections, benefit matrices, Monte-Carlo
-evaluation bundles. A plain ``dict`` cache is a slow leak in a process
-that serves traffic for hours, and :func:`functools.lru_cache` bounds
+Solver sessions (:mod:`repro.service.session`) keep expensive derived
+state warm across requests — sampled RR collections, Monte-Carlo
+evaluation bundles, live dynamic maximizers — and the service engine
+bounds its registry of sessions with the same cache. A plain ``dict``
+cache is a slow leak in a process that serves traffic for hours, and
+:func:`functools.lru_cache` bounds
 *entries*, not *bytes*, which is the wrong unit when one entry is a
 30k-sample RR collection and the next a two-float tuple.
 
 :class:`BoundedCache` is an LRU map whose eviction unit is an estimated
 byte size (:func:`estimate_nbytes`), with hit/miss/eviction counters
 (:class:`CacheStats`) that the service surfaces in responses.
-:func:`lru_bound` is the decorator form — a drop-in replacement for the
-unbounded module-level dicts ``experiments/harness.py`` used to keep.
 
 Two hooks cover the awkward cases:
 
 * ``sizeof`` — values report their own footprint via a ``memory_bytes()``
   method (e.g. :class:`repro.problems.influence.InfluenceObjective`) or
   fall back to a recursive estimate over arrays and containers;
-* ``validate`` — identity-pinned entries (the harness keys on ``id()`` of
-  a graph) re-check their anchor object on every hit, so a recycled id
-  can never serve a stale value.
+* ``anchor`` / ``validate`` — identity-pinned entries (session caches
+  key on ``id()`` of a graph) re-check their anchor object on every
+  hit, so a recycled id can never serve a stale value.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import wraps
 from typing import Any, Callable, Hashable, Iterator, Optional
 
 import numpy as np
@@ -37,7 +36,6 @@ __all__ = [
     "BoundedCache",
     "CacheStats",
     "estimate_nbytes",
-    "lru_bound",
 ]
 
 
@@ -294,61 +292,3 @@ class BoundedCache:
         self._entries.clear()
         self.stats.current_bytes = 0
         self.stats.entries = 0
-
-
-def _default_key(args: tuple, kwargs: dict) -> Hashable:
-    return (args, tuple(sorted(kwargs.items())))
-
-
-def lru_bound(
-    budget_bytes: int,
-    *,
-    key: Optional[Callable[..., Hashable]] = None,
-    validate: Optional[Callable[..., bool]] = None,
-    sizeof: Callable[[Any], int] = estimate_nbytes,
-) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-    """Decorator: memoise ``fn`` in a :class:`BoundedCache`.
-
-    Parameters
-    ----------
-    budget_bytes:
-        Total byte budget for cached return values.
-    key:
-        Optional ``key(*args, **kwargs)`` — required when the arguments
-        are unhashable (datasets, graphs); defaults to the argument
-        tuple itself.
-    validate:
-        Optional ``validate(value, *args, **kwargs)`` re-checked on
-        every hit; returning ``False`` discards the entry and recomputes
-        (used for identity-pinned graph entries).
-    sizeof:
-        Value-size estimator (defaults to :func:`estimate_nbytes`).
-
-    The wrapped function gains ``.cache`` (the :class:`BoundedCache`),
-    ``.cache_stats()`` and ``.cache_clear()``.
-    """
-
-    def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
-        cache = BoundedCache(budget_bytes, sizeof=sizeof)
-
-        @wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            cache_key = (
-                key(*args, **kwargs) if key is not None
-                else _default_key(args, kwargs)
-            )
-            check = (
-                (lambda value: validate(value, *args, **kwargs))
-                if validate is not None
-                else None
-            )
-            return cache.get_or_create(
-                cache_key, lambda: fn(*args, **kwargs), validate=check
-            )
-
-        wrapper.cache = cache  # type: ignore[attr-defined]
-        wrapper.cache_stats = lambda: cache.stats  # type: ignore[attr-defined]
-        wrapper.cache_clear = cache.clear  # type: ignore[attr-defined]
-        return wrapper
-
-    return decorate

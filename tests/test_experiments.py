@@ -103,14 +103,13 @@ class TestInfluenceSweep:
         assert 0 <= row.fairness <= row.utility <= 1
 
     def test_collection_shared_across_tau_and_k_sweeps(self):
-        from repro.service.session import reset_shared_sessions, shared_session
+        from repro.service.session import SolverSession
 
-        reset_shared_sessions()
         data = load_dataset("rand-im-c2", seed=1)
+        session = SolverSession(data)
         kwargs = dict(algorithms=("Greedy",), im_samples=200,
-                      mc_simulations=20, seed=3)
+                      mc_simulations=20, seed=3, session=session)
         sweep_tau(data, k=3, taus=(0.5,), **kwargs)
-        session = shared_session(data)
         stats = session.objective_cache.stats
         assert stats.entries == 1 and stats.misses == 1
         sweep_k(data, ks=(3,), tau=0.5, **kwargs)
@@ -121,21 +120,19 @@ class TestInfluenceSweep:
     def test_cache_distinguishes_same_shaped_graphs(self):
         # Regression: two graphs with identical name/dimensions but
         # different edge probabilities must not share a cached collection.
-        from repro.service.session import reset_shared_sessions, shared_session
+        from repro.service.session import SolverSession
 
-        reset_shared_sessions()
         a = load_dataset("rand-im-c2", seed=1)
         b = load_dataset("rand-im-c2", seed=1)
         b.graph.set_edge_probabilities(0.9)
+        session_a, session_b = SolverSession(a), SolverSession(b)
         kwargs = dict(algorithms=("Greedy",), im_samples=200,
                       mc_simulations=0, seed=3)
-        low = sweep_tau(a, k=3, taus=(0.5,), **kwargs)
-        high = sweep_tau(b, k=3, taus=(0.5,), **kwargs)
-        # Identity-keyed sessions: each loaded dataset owns its own
-        # sampled objective.
-        assert shared_session(a) is not shared_session(b)
-        assert shared_session(a).objective_cache.stats.entries == 1
-        assert shared_session(b).objective_cache.stats.entries == 1
+        low = sweep_tau(a, k=3, taus=(0.5,), session=session_a, **kwargs)
+        high = sweep_tau(b, k=3, taus=(0.5,), session=session_b, **kwargs)
+        # Each loaded dataset's session owns its own sampled objective.
+        assert session_a.objective_cache.stats.entries == 1
+        assert session_b.objective_cache.stats.entries == 1
         # p=0.9 spreads much further than the default p: a shared cache
         # entry would have made these rows identical.
         assert high.rows[0].utility > low.rows[0].utility
@@ -143,16 +140,17 @@ class TestInfluenceSweep:
     def test_cache_invalidated_by_in_place_mutation(self):
         # Regression: mutating the same graph object between sweeps must
         # not return the collection sampled under the old probabilities
-        # (Graph.version is part of the session's cache key).
-        from repro.service.session import reset_shared_sessions
+        # (the session repairs or resamples its warm objective).
+        from repro.service.session import SolverSession
 
-        reset_shared_sessions()
         data = load_dataset("rand-im-c2", seed=1)
+        session = SolverSession(data)
         kwargs = dict(algorithms=("Greedy",), im_samples=200,
-                      mc_simulations=0, seed=3)
+                      mc_simulations=0, seed=3, session=session)
         low = sweep_tau(data, k=3, taus=(0.5,), **kwargs)
         data.graph.set_edge_probabilities(0.9)
         high = sweep_tau(data, k=3, taus=(0.5,), **kwargs)
+        assert session.full_resamples == 1
         assert high.rows[0].utility > low.rows[0].utility
 
 

@@ -26,12 +26,8 @@ from repro.service.protocol import (
     decode_response,
     encode_response,
 )
-from repro.service.session import (
-    SolverSession,
-    reset_shared_sessions,
-    shared_session,
-)
-from repro.utils.caching import BoundedCache, estimate_nbytes, lru_bound
+from repro.service.session import SolverSession
+from repro.utils.caching import BoundedCache, estimate_nbytes
 
 #: One small dataset per problem domain (the coalescing acceptance bar
 #: is "bitwise-identical on all five domains").
@@ -47,7 +43,7 @@ IM_SAMPLES = 300
 
 
 # ---------------------------------------------------------------------------
-# BoundedCache / lru_bound primitives
+# BoundedCache primitives
 # ---------------------------------------------------------------------------
 class TestBoundedCache:
     def test_budget_never_exceeded(self):
@@ -147,44 +143,6 @@ class TestEstimateNbytes:
 
         obj = InfluenceObjective.from_graph(data.graph, 100, seed=0)
         assert estimate_nbytes(obj) == obj.memory_bytes() > 0
-
-
-class TestLruBound:
-    def test_caches_by_default_key(self):
-        calls = []
-
-        @lru_bound(10_000)
-        def fn(x, y=1):
-            calls.append((x, y))
-            return x + y
-
-        assert fn(1) == 2 and fn(1) == 2 and fn(1, y=2) == 3
-        assert calls == [(1, 1), (1, 2)]
-        assert fn.cache_stats().hits == 1
-
-    def test_custom_key_and_validate(self):
-        calls = []
-
-        @lru_bound(10_000, key=lambda obj: id(obj),
-                   validate=lambda value, obj: value == len(obj))
-        def measure(obj):
-            calls.append(1)
-            return len(obj)
-
-        items = [1, 2]
-        assert measure(items) == 2
-        items.append(3)  # same id, stale cached value -> revalidated
-        assert measure(items) == 3
-        assert len(calls) == 2
-
-    def test_cache_clear(self):
-        @lru_bound(10_000)
-        def fn(x):
-            return object()
-
-        first = fn(1)
-        fn.cache_clear()
-        assert fn(1) is not first
 
 
 # ---------------------------------------------------------------------------
@@ -329,23 +287,11 @@ class TestSolverSession:
         )
         json.dumps(stats)  # JSON-safe
 
-
-class TestSharedSessions:
-    def test_identity_keyed(self):
-        reset_shared_sessions()
-        a = load_dataset("rand-mc-c2", seed=0, num_nodes=60)
-        b = load_dataset("rand-mc-c2", seed=0, num_nodes=60)
-        assert shared_session(a) is shared_session(a)
-        assert shared_session(a) is not shared_session(b)
-
     def test_law_keyed_but_worker_count_shared(self):
-        # One session per dataset; its objective cache keys the draw law,
-        # so the serial stream and the unit law (any worker count) each
-        # get exactly one entry.
-        reset_shared_sessions()
+        # The objective cache keys the draw law, so the serial stream
+        # and the unit law (any worker count) each get exactly one entry.
         data = load_dataset("rand-im-c2", seed=0)
-        session = shared_session(data)
-        assert shared_session(data) is session
+        session = SolverSession(data)
         objectives = {
             workers: session.objective(im_samples=100, workers=workers)
             for workers in (None, 2, 4)
@@ -865,16 +811,16 @@ class TestHarnessCacheBudget:
         # cache bounded by construction.
         from repro.experiments.harness import sweep_tau
 
-        reset_shared_sessions()
         data = load_dataset("rand-im-c2", seed=1, num_nodes=40)
+        session = SolverSession(data)
         taus = tuple(np.linspace(0.02, 0.98, 50))
         sweep = sweep_tau(
             data, 3, taus,
             algorithms=("Greedy", "BSM-TSGreedy"),
             im_samples=IM_SAMPLES, mc_simulations=20, seed=3,
+            session=session,
         )
         assert len(sweep.rows) == 2 * 50
-        session = shared_session(data)
         assert session.objective_cache.stats.misses == 1  # one sampling pass
         eval_stats = session.evaluation_cache.stats
         assert eval_stats.current_bytes <= eval_stats.budget_bytes

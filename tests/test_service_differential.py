@@ -4,13 +4,15 @@ requests in arrival order.
 Hypothesis draws scripts of single and array lines over two
 connections: greedy pairs sent back to back (so they coalesce), lone
 greedy and ``bsm-tsgreedy`` solves, ``evaluate``, ``update`` with
-``edge_events``, and ``stats``. Every line is sent without waiting for
+``edge_events``, one-tau ``sweep`` requests on the influence dataset,
+and ``stats``. Every line is sent without waiting for
 earlier answers, so batches mix lines of both connections; the next line
 goes out once the server has read the previous one, which fixes the
 arrival order. Each data answer must equal a fresh in-process
 :class:`~repro.service.engine.ServiceEngine`'s answer to the same
 request replayed in that order, compared after ``perfbench``'s
-``normalize`` strips the runtime fields. ``stats`` answers must be ``ok``
+``normalize`` strips the runtime fields (and each sweep row its own
+``runtime``). ``stats`` answers must be ``ok``
 and carry the front-end's counter identity.
 
 An engine batch runs each coalesced group before its other members
@@ -115,8 +117,20 @@ update = st.builds(
     st.lists(st.sampled_from(ARCS), min_size=1, max_size=3, unique=True),
     st.sampled_from([0.02, 0.1, 0.3]),
 )
+sweep = st.builds(
+    lambda k, tau: _payload(
+        "sweep",
+        k=k,
+        values=[tau],
+        algorithms=["Greedy", "BSM-TSGreedy"],
+        mc_simulations=0,
+        **IM_ARGS,
+    ),
+    st.integers(2, 4),
+    st.sampled_from([0.5, 0.8]),
+)
 stats = st.just(_payload("stats"))
-member = st.one_of(greedy, bsm, evaluate, update, stats)
+member = st.one_of(greedy, bsm, evaluate, update, sweep, stats)
 
 #: A step is a list of lines, each ``(connection, members, as_array)``.
 line = st.tuples(
@@ -141,6 +155,17 @@ WARM_UP = [
     _payload("solve", algorithm="bsm-tsgreedy", k=3, tau=0.5, **IM_ARGS),
     _payload("update", k=3, events=[["insert", 0]], **IM_ARGS),
 ]
+
+
+def _comparable(response):
+    """``normalize``, and each sweep row without its own ``runtime``."""
+    out = normalize(response)
+    if "rows" in out["result"]:
+        out["result"]["rows"] = [
+            {key: value for key, value in row.items() if key != "runtime"}
+            for row in out["result"]["rows"]
+        ]
+    return out
 
 
 async def _serve(shards, warm_up, lines):
@@ -233,4 +258,4 @@ def test_tcp_answers_equal_an_arrival_order_replay(shards, steps):
             )
             continue
         expected = response_to_dict(replay.handle(request_from_dict(payload)))
-        assert normalize(answer) == normalize(expected), request_id
+        assert _comparable(answer) == _comparable(expected), request_id
