@@ -98,8 +98,8 @@ def _index_consistent(objective) -> bool:
         collection.set_indptr, collection.set_indices, collection.num_nodes
     )
     return bool(
-        np.array_equal(objective._mem_indptr, indptr)
-        and np.array_equal(objective._mem_indices, indices)
+        np.array_equal(collection._mem_indptr, indptr)
+        and np.array_equal(collection._mem_indices, indices)
     )
 
 

@@ -86,6 +86,31 @@ _T = TypeVar("_T")
 #: ground-set values), so the cap holds fifteen budgets' worth.
 MAX_SUBRESULTS = 32
 
+
+def partition_sizes(
+    labels: np.ndarray, num_users: Optional[int] = None
+) -> np.ndarray:
+    """Group sizes of per-user ``labels``, checked to be a partition.
+
+    ``labels`` must be 1-d and non-empty (of length ``num_users`` when
+    given), non-negative and contiguous ``0..c-1``; anything else raises
+    :class:`~repro.errors.GroupPartitionError`.
+    """
+    if num_users is None:
+        if labels.ndim != 1 or labels.size == 0:
+            raise GroupPartitionError("user_groups must be non-empty and 1-d")
+    elif labels.shape != (num_users,):
+        raise GroupPartitionError(
+            f"user_groups must have length {num_users}, got {labels.shape}"
+        )
+    if labels.size == 0 or labels.min() < 0:
+        raise GroupPartitionError("group labels must be non-negative")
+    sizes = np.bincount(labels)
+    if np.any(sizes == 0):
+        raise GroupPartitionError("group labels must be contiguous 0..c-1")
+    return sizes
+
+
 # ---------------------------------------------------------------------------
 # Objective state
 # ---------------------------------------------------------------------------
@@ -565,14 +590,7 @@ class PerUserObjective(GroupedObjective):
         utility_fn: Callable[[int, frozenset[int]], float],
     ) -> None:
         labels = np.asarray(user_groups, dtype=np.int64)
-        if labels.ndim != 1 or labels.size == 0:
-            raise GroupPartitionError("user_groups must be non-empty and 1-d")
-        if labels.min() < 0:
-            raise GroupPartitionError("group labels must be non-negative")
-        sizes = np.bincount(labels)
-        if np.any(sizes == 0):
-            raise GroupPartitionError("group labels must be contiguous 0..c-1")
-        super().__init__(num_items, sizes)
+        super().__init__(num_items, partition_sizes(labels))
         self._labels = labels
         self._fn = utility_fn
 

@@ -13,7 +13,12 @@ Sampling runs through the batched frontier engine
 (:mod:`repro.influence.engine`): all requested RR sets grow level by
 level through one shared reverse BFS, and the collection stores them
 CSR-packed (``set_indptr``/``set_indices``) so coverage queries and the
-objective layer's inverted index are single NumPy passes.
+node -> RR-set inverted index are single NumPy passes.
+
+The flat :class:`RRCollection` and the out-of-core
+:class:`SegmentedRRCollection` answer one interface (DESIGN.md §10), each
+keeping and repairing its own inverted index, so
+:func:`sample_rr_collection` is the only code that chooses a tier.
 """
 
 from __future__ import annotations
@@ -26,9 +31,17 @@ import numpy as np
 from repro.errors import GroupPartitionError, StorageError
 from repro.graphs.graph import Graph, GraphDelta
 from repro.influence.engine import sample_rr_sets_batch, sample_rr_sets_stream
-from repro.storage.backend import ArrayBackend, resolve_backend
+from repro.kernels import get_kernel
+from repro.storage.backend import ArrayBackend, resident_nbytes, resolve_backend
 from repro.storage.segments import DEFAULT_SEGMENT_BYTES, SegmentedRRStore
-from repro.utils.csr import build_csr, concat_packed, splice_packed
+from repro.utils.csr import (
+    build_csr,
+    concat_packed,
+    gather_csr_slices,
+    invert_csr,
+    merge_sorted_disjoint,
+    splice_packed,
+)
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive_int
 
@@ -66,14 +79,11 @@ def segment_bytes_for(memory_budget: Optional[int]) -> int:
     return min(max(budget // 16, 1 << 20), 1 << 28)
 
 
-class RRCollection:
-    """A bag of RR sets plus the group of each root, stored CSR-packed.
+class _RootedSets:
+    """The root bookkeeping both storage tiers keep on the heap.
 
     Attributes
     ----------
-    set_indptr, set_indices:
-        Packed storage: RR set ``j``'s nodes occupy
-        ``set_indices[set_indptr[j]:set_indptr[j + 1]]``.
     root_groups:
         Group label of the root of each RR set.
     num_nodes, num_groups:
@@ -81,11 +91,55 @@ class RRCollection:
     group_counts:
         Number of RR sets rooted in each group; the per-group estimate of
         ``f_i(S)`` is (covered sets with group-i root) / ``group_counts[i]``.
+    """
+
+    def __init__(
+        self, root_groups: np.ndarray, num_nodes: int, num_groups: int
+    ) -> None:
+        self.num_nodes = num_nodes
+        self.num_groups = num_groups
+        self.root_groups = np.asarray(root_groups, dtype=np.int64)
+        counts = np.bincount(self.root_groups, minlength=self.num_groups)
+        if np.any(counts == 0):
+            raise GroupPartitionError(
+                "every group needs at least one RR set for its f_i estimate"
+            )
+        self.group_counts = counts
+
+    def coverage(self, seeds: np.ndarray | list[int]) -> np.ndarray:
+        """Per-group fraction of RR sets hit by ``seeds`` (= ``f_i`` estimate).
+
+        Integer hit counts per group, so both tiers give bitwise the same
+        fractions.
+        """
+        seed_mask = np.zeros(self.num_nodes, dtype=bool)
+        seed_mask[np.asarray(list(seeds), dtype=np.int64)] = True
+        hit = self.sets_hitting(seed_mask)
+        covered = np.bincount(
+            self.root_groups[hit], minlength=self.num_groups
+        ).astype(float)
+        return covered / self.group_counts
+
+
+class RRCollection(_RootedSets):
+    """A bag of RR sets plus the group of each root, stored CSR-packed.
+
+    ``set_indptr``, ``set_indices`` are the packed storage: RR set
+    ``j``'s nodes occupy ``set_indices[set_indptr[j]:set_indptr[j + 1]]``.
 
     The constructor also accepts the legacy list-of-arrays form via
     ``sets`` (packed on entry); the :attr:`sets` property exposes the
     matching compatibility view as per-set slices of ``set_indices``.
+
+    The collection also holds the node -> RR-set inverted CSR (node
+    ``v``'s set ids occupy ``_mem_indices[_mem_indptr[v]:_mem_indptr[v +
+    1]]``, ascending) and the kernel set, both fixed when it is built:
+    they serve the oracle's :meth:`member_ids` and
+    :meth:`fold_group_counts`, and :meth:`replace_sets` patches the index.
     """
+
+    #: The segment backend a resample of this collection reuses (none).
+    backend: Optional[ArrayBackend] = None
 
     def __init__(
         self,
@@ -105,18 +159,17 @@ class RRCollection:
             raise ValueError("either sets or set_indptr/set_indices required")
         self.set_indptr = np.asarray(set_indptr, dtype=np.int64)
         self.set_indices = np.asarray(set_indices, dtype=np.int64)
-        self.num_nodes = num_nodes
-        self.num_groups = num_groups
-        self.root_groups = np.asarray(root_groups, dtype=np.int64)
-        if self.set_indptr.size - 1 != self.root_groups.size:
+        if self.set_indptr.size - 1 != np.size(root_groups):
             raise ValueError("sets and root_groups must have equal length")
-        counts = np.bincount(self.root_groups, minlength=self.num_groups)
-        if np.any(counts == 0):
-            raise GroupPartitionError(
-                "every group needs at least one RR set for its f_i estimate"
-            )
-        self.group_counts = counts
+        super().__init__(root_groups, num_nodes, num_groups)
+        if self.set_indices.size and self.set_indices.max() >= num_nodes:
+            raise ValueError(f"RR sets reference nodes outside [0, {num_nodes})")
         self._row_ids: Optional[np.ndarray] = None
+        # The stable inversion keeps each node's RR-set ids ascending.
+        self._mem_indptr, self._mem_indices, _ = invert_csr(
+            self.set_indptr, self.set_indices, num_nodes
+        )
+        self._kernel_set = get_kernel()
 
     @classmethod
     def from_packed(
@@ -169,30 +222,98 @@ class RRCollection:
             )
         return self._row_ids
 
-    def coverage(self, seeds: np.ndarray | list[int]) -> np.ndarray:
-        """Per-group fraction of RR sets hit by ``seeds`` (= ``f_i`` estimate).
+    def member_ids(self, item: int) -> np.ndarray:
+        """Ids of the RR sets containing node ``item``, ascending (a view)."""
+        return self._mem_indices[
+            self._mem_indptr[item]:self._mem_indptr[item + 1]
+        ]
 
-        One mask-gather over the packed entries plus two ``bincount``
-        passes — no per-set Python loop.
+    def fold_group_counts(
+        self, items: np.ndarray, covered: np.ndarray
+    ) -> np.ndarray:
+        """Per-``(node, root group)`` counts of sets not flagged ``covered``."""
+        return self._kernel_set.group_counts(
+            self._mem_indptr, self._mem_indices, items, covered,
+            self.root_groups, self.num_groups,
+        )
+
+    def sets_hitting(self, node_mask: np.ndarray) -> np.ndarray:
+        """Ids of the RR sets containing a masked node, ascending."""
+        return np.unique(self.entry_rows()[node_mask[self.set_indices]])
+
+    def roots_of(self, ids: np.ndarray) -> np.ndarray:
+        """Roots of the RR sets ``ids``."""
+        return self.set_indices[self.set_indptr[ids]]
+
+    def replace_sets(
+        self, ids: np.ndarray, sub_indptr: np.ndarray, sub_indices: np.ndarray
+    ) -> None:
+        """Splice row ``i`` of the packed sub-CSR in as set ``ids[i]``.
+
+        ``ids`` must be sorted ascending. The packed arrays are rebuilt by
+        :func:`repro.utils.csr.splice_packed`, and the inverted index is
+        patched rather than rebuilt. Its entries are flat ``node *
+        num_sets + set_id`` keys in globally increasing order. Surviving
+        keys (set id not in ``ids``) and replacement keys (read from the
+        spliced arrays) are disjoint, so one
+        :func:`repro.utils.csr.merge_sorted_disjoint` pass rebuilds the
+        index without the stable sort a full :func:`invert_csr` pays.
         """
-        seed_mask = np.zeros(self.num_nodes, dtype=bool)
-        seed_mask[np.asarray(list(seeds), dtype=np.int64)] = True
-        hit_rows = self.entry_rows()[seed_mask[self.set_indices]]
-        hit = np.bincount(hit_rows, minlength=self.num_sets) > 0
-        covered = np.bincount(
-            self.root_groups[hit], minlength=self.num_groups
-        ).astype(float)
-        return covered / self.group_counts
+        self.set_indptr, self.set_indices = splice_packed(
+            self.set_indptr, self.set_indices, ids, sub_indptr, sub_indices
+        )
+        self._row_ids = None
+        num_sets, n = self.num_sets, self.num_nodes
+        replaced = np.zeros(num_sets, dtype=bool)
+        replaced[ids] = True
+        entry_nodes = np.repeat(
+            np.arange(n, dtype=np.int64), np.diff(self._mem_indptr)
+        )
+        keep = ~replaced[self._mem_indices]
+        kept_keys = entry_nodes[keep] * num_sets + self._mem_indices[keep]
+        positions, owners = gather_csr_slices(self.set_indptr, ids)
+        new_keys = self.set_indices[positions] * num_sets + ids[owners]
+        new_keys.sort()
+        merged = merge_sorted_disjoint(kept_keys, new_keys)
+        self._mem_indices = merged % num_sets
+        self._mem_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(merged // num_sets, minlength=n),
+            out=self._mem_indptr[1:],
+        )
+
+    def resident_bytes(self) -> int:
+        """Heap bytes of the packed sets, root labels and inverted index."""
+        return int(
+            resident_nbytes(self.set_indptr)
+            + resident_nbytes(self.set_indices)
+            + self.root_groups.nbytes
+            + self._mem_indptr.nbytes
+            + self._mem_indices.nbytes
+        )
+
+    def storage_info(self) -> dict[str, int | str]:
+        """Storage-tier summary (the service ``stats`` op embeds this)."""
+        return {
+            "store_kind": "ram",
+            "segments": 0,
+            "num_sets": self.num_sets,
+            "resident_bytes": self.resident_bytes(),
+            "on_disk_bytes": 0,
+        }
 
 
-class SegmentedRRCollection:
+class SegmentedRRCollection(_RootedSets):
     """RR sets held in a :class:`SegmentedRRStore` instead of flat arrays.
 
-    The out-of-core twin of :class:`RRCollection`: same group bookkeeping
-    (``root_groups``/``group_counts`` stay heap-resident — they are
-    O(num sets), needed by every gains fold), but the packed sets and
-    the inverted index live in byte-budgeted backend segments. Coverage
-    queries walk segment by segment and release pages as they go.
+    The out-of-core twin of :class:`RRCollection`, answering the same
+    interface: same group bookkeeping (``root_groups``/``group_counts``
+    stay heap-resident — they are O(num sets), needed by every gains
+    fold), but the packed sets and the inverted index live in
+    byte-budgeted backend segments, and every query delegates to the
+    store. Queries walk segment by segment and release pages as they go;
+    folded integer counts equal the flat ones, so gains are bitwise the
+    flat tier's.
     """
 
     def __init__(
@@ -203,20 +324,12 @@ class SegmentedRRCollection:
         num_groups: int,
     ) -> None:
         self.store = store
-        self.num_nodes = num_nodes
-        self.num_groups = num_groups
-        self.root_groups = np.asarray(root_groups, dtype=np.int64)
-        if store.num_sets != self.root_groups.size:
+        if store.num_sets != np.size(root_groups):
             raise StorageError(
                 f"store holds {store.num_sets} sets but root_groups has "
-                f"{self.root_groups.size} entries"
+                f"{np.size(root_groups)} entries"
             )
-        counts = np.bincount(self.root_groups, minlength=self.num_groups)
-        if np.any(counts == 0):
-            raise GroupPartitionError(
-                "every group needs at least one RR set for its f_i estimate"
-            )
-        self.group_counts = counts
+        super().__init__(root_groups, num_nodes, num_groups)
 
     @property
     def num_sets(self) -> int:
@@ -227,20 +340,55 @@ class SegmentedRRCollection:
         """Root node of every RR set (one heap-resident pass)."""
         return self.store.roots()
 
-    def coverage(self, seeds: np.ndarray | list[int]) -> np.ndarray:
-        """Per-group fraction of RR sets hit by ``seeds``, segment by segment.
+    @property
+    def backend(self) -> ArrayBackend:
+        """The segment backend a resample of this collection reuses."""
+        return self.store.backend
 
-        Same integer hit counts as the flat
-        :meth:`RRCollection.coverage`, folded per segment, so the float
-        fractions are bitwise-identical.
-        """
-        seed_mask = np.zeros(self.num_nodes, dtype=bool)
-        seed_mask[np.asarray(list(seeds), dtype=np.int64)] = True
-        hit = self.store.hit_rows(seed_mask)
-        covered = np.bincount(
-            self.root_groups[hit], minlength=self.num_groups
-        ).astype(float)
-        return covered / self.group_counts
+    def member_ids(self, item: int) -> np.ndarray:
+        """Ids of the RR sets containing node ``item``, ascending."""
+        return self.store.member_ids(item)
+
+    def fold_group_counts(
+        self, items: np.ndarray, covered: np.ndarray
+    ) -> np.ndarray:
+        """Per-``(node, root group)`` counts of sets not flagged ``covered``."""
+        return self.store.fold_group_counts(
+            items, covered, self.root_groups, self.num_groups
+        )
+
+    def sets_hitting(self, node_mask: np.ndarray) -> np.ndarray:
+        """Ids of the RR sets containing a masked node, ascending."""
+        return np.flatnonzero(self.store.hit_rows(node_mask))
+
+    def roots_of(self, ids: np.ndarray) -> np.ndarray:
+        """Roots of the RR sets ``ids`` (sorted ascending)."""
+        return self.store.roots_of(ids)
+
+    def replace_sets(
+        self, ids: np.ndarray, sub_indptr: np.ndarray, sub_indices: np.ndarray
+    ) -> None:
+        """Splice replacements in; only the owning segments are rewritten
+        and re-inverted."""
+        self.store.replace_sets(ids, sub_indptr, sub_indices)
+
+    def resident_bytes(self) -> int:
+        """Heap bytes: pinned segment pages plus the root bookkeeping."""
+        return int(
+            self.store.resident_bytes()
+            + self.root_groups.nbytes
+            + self.group_counts.nbytes
+        )
+
+    def storage_info(self) -> dict[str, int | str]:
+        """Storage-tier summary (the service ``stats`` op embeds this)."""
+        info = dict(self.store.storage_info())
+        info["resident_bytes"] = self.resident_bytes()
+        return info
+
+
+#: An RR collection on either storage tier.
+AnyRRCollection = RRCollection | SegmentedRRCollection
 
 
 def sample_rr_set(
@@ -356,7 +504,7 @@ def sample_rr_collection(
     store: str = "ram",
     memory_budget: Optional[int] = None,
     backend: Optional[ArrayBackend] = None,
-) -> RRCollection | SegmentedRRCollection:
+) -> AnyRRCollection:
     """Sample an :class:`RRCollection` from a grouped graph.
 
     Parameters
@@ -526,7 +674,7 @@ def repair_seed_sequence(
 
 
 def affected_rr_sets(
-    collection: "RRCollection | SegmentedRRCollection", delta: GraphDelta
+    collection: AnyRRCollection, delta: GraphDelta
 ) -> np.ndarray:
     """RR-set ids whose sampled law changed under ``delta`` (sorted).
 
@@ -544,14 +692,11 @@ def affected_rr_sets(
         return np.zeros(0, dtype=np.int64)
     mask = np.zeros(collection.num_nodes, dtype=bool)
     mask[delta.targets] = True
-    if isinstance(collection, SegmentedRRCollection):
-        return np.flatnonzero(collection.store.hit_rows(mask))
-    rows = collection.entry_rows()[mask[collection.set_indices]]
-    return np.unique(rows)
+    return collection.sets_hitting(mask)
 
 
 def repair_rr_collection(
-    collection: "RRCollection | SegmentedRRCollection",
+    collection: AnyRRCollection,
     graph: Graph,
     delta: GraphDelta,
     seed: SeedLike = None,
@@ -563,8 +708,9 @@ def repair_rr_collection(
     Identifies the sets whose membership touches a changed arc's target
     (:func:`affected_rr_sets`), regenerates *only those* from their
     original roots on the mutated graph via the batched engine, and
-    splices the replacements into the packed arrays in place
-    (:func:`repro.utils.csr.splice_packed`). Roots, root groups and group
+    splices the replacements in with the collection's own
+    ``replace_sets``, which also patches its inverted index (flat) or
+    rewrites the owning segments (segmented). Roots, root groups and group
     counts are unchanged, so every ``f_i`` estimator keeps its
     stratification. A delta touching no sampled membership leaves the
     collection bitwise identical and performs zero sampling.
@@ -576,30 +722,14 @@ def repair_rr_collection(
     total = collection.num_sets
     if affected.size == 0:
         return RepairResult(affected, total)
-    segmented = isinstance(collection, SegmentedRRCollection)
     # Affected ids ascending, one batched resample from the original
     # roots: the segmented store's replacements are bitwise the flat
     # splice's, and only the owning segments are rewritten.
-    roots = (
-        collection.store.roots_of(affected)
-        if segmented
-        else collection.set_indices[collection.set_indptr[affected]]
-    )
     sub_indptr, sub_indices = sample_rr_sets_batch(
         graph.transpose_adjacency(),
-        roots,
+        collection.roots_of(affected),
         as_generator(seed),
         workers=workers,
     )
-    if segmented:
-        collection.store.replace_sets(affected, sub_indptr, sub_indices)
-        return RepairResult(affected, total)
-    collection.set_indptr, collection.set_indices = splice_packed(
-        collection.set_indptr,
-        collection.set_indices,
-        affected,
-        sub_indptr,
-        sub_indices,
-    )
-    collection._row_ids = None
+    collection.replace_sets(affected, sub_indptr, sub_indices)
     return RepairResult(affected, total)

@@ -4,7 +4,7 @@ The influence stack has exactly three inner loops that dominate every
 figure: the per-level gather+draw of the batched reachability BFS
 (:mod:`repro.influence.engine`), CSR coverage counting
 (:func:`repro.utils.csr.batch_group_counts` and the bincount paths in
-:mod:`repro.problems.influence`), and the single-item gains re-score
+:mod:`repro.problems.coverage`), and the single-item gains re-score
 that commits an item. This package holds one implementation *set* per
 strategy and dispatches each call to the best available one:
 

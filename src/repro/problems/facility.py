@@ -17,8 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.functions import GroupedObjective
-from repro.errors import GroupPartitionError
+from repro.core.functions import GroupedObjective, partition_sizes
 
 
 def _pairwise_distances(users: np.ndarray, facilities: np.ndarray) -> np.ndarray:
@@ -108,17 +107,7 @@ class FacilityLocationObjective(GroupedObjective):
         if np.any(matrix < 0):
             raise ValueError("benefits must be non-negative")
         labels = np.asarray(user_groups, dtype=np.int64)
-        if labels.shape != (matrix.shape[0],):
-            raise GroupPartitionError(
-                f"user_groups must have length {matrix.shape[0]}, "
-                f"got {labels.shape}"
-            )
-        if labels.size == 0 or labels.min() < 0:
-            raise GroupPartitionError("group labels must be non-negative")
-        sizes = np.bincount(labels)
-        if np.any(sizes == 0):
-            raise GroupPartitionError("group labels must be contiguous 0..c-1")
-        super().__init__(matrix.shape[1], sizes)
+        super().__init__(matrix.shape[1], partition_sizes(labels, matrix.shape[0]))
         self._benefits = matrix
         self._labels = labels
         # Batch-oracle precomputation: a transposed contiguous copy so a

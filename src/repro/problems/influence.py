@@ -7,6 +7,12 @@ of ``f_i(S)`` is the fraction of group-``i``-rooted RR sets that ``S``
 intersects. Coverage of a fixed collection is monotone and submodular, so
 all solvers run unchanged on the estimates; final solutions are then
 re-scored with Monte-Carlo simulation, exactly as the paper does.
+
+The objective is the covered-elements oracle of
+:mod:`repro.problems.coverage` with RR sets as the elements: the
+collection, on either storage tier, is the incidence. The objective adds
+only the graph binding that :meth:`InfluenceObjective.refresh` repairs
+or resamples against.
 """
 
 from __future__ import annotations
@@ -15,42 +21,21 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.functions import GroupedObjective
 from repro.graphs.graph import Graph
-from repro.kernels import get_kernel
 from repro.influence.imm import imm_rr_collection
 from repro.influence.ris import (
+    AnyRRCollection,
     RepairResult,
-    RRCollection,
-    SegmentedRRCollection,
     repair_rr_collection,
     repair_seed_sequence,
     sample_rr_collection,
 )
-from repro.storage.backend import ArrayBackend, resident_nbytes
-from repro.utils.csr import (
-    gather_csr_slices,
-    invert_csr,
-    merge_sorted_disjoint,
-)
+from repro.problems.coverage import CoveredElementsObjective
+from repro.storage.backend import ArrayBackend
 from repro.utils.rng import SeedLike
 
 
-class _InfluencePayload:
-    """Bookkeeping: which RR sets the current seed set already hits."""
-
-    __slots__ = ("covered",)
-
-    def __init__(self, num_sets: int) -> None:
-        self.covered = np.zeros(num_sets, dtype=bool)
-
-    def copy(self) -> "_InfluencePayload":
-        fresh = _InfluencePayload(self.covered.size)
-        fresh.covered = self.covered.copy()
-        return fresh
-
-
-class InfluenceObjective(GroupedObjective):
+class InfluenceObjective(CoveredElementsObjective):
     """Grouped influence oracle over a fixed RR-set collection.
 
     Build via :meth:`from_graph` (fixed sample count) or
@@ -59,7 +44,7 @@ class InfluenceObjective(GroupedObjective):
 
     def __init__(
         self,
-        collection: RRCollection | SegmentedRRCollection,
+        collection: AnyRRCollection,
         population_sizes: Sequence[int],
     ) -> None:
         """Wrap an RR collection (flat or segmented).
@@ -68,52 +53,24 @@ class InfluenceObjective(GroupedObjective):
         in ``f = sum_i (m_i/m) f_i`` must reflect the user population, while
         each *estimate* ``f_i`` divides by the collection's per-group RR-set
         counts (which differ under stratified sampling).
-
-        A :class:`SegmentedRRCollection` keeps its inverted index inside
-        its per-segment store; the flat inverted CSR is only built for
-        flat collections. Every oracle hook folds segment results into
-        the same integers the flat arrays would produce, so solvers see
-        bitwise-identical gains either way.
         """
         if len(population_sizes) != collection.num_groups:
             raise ValueError(
                 "population_sizes length must equal the collection's group count"
             )
-        super().__init__(collection.num_nodes, population_sizes)
+        super().__init__(
+            collection.num_nodes,
+            population_sizes,
+            collection,
+            collection.root_groups,
+            collection.group_counts.astype(float),
+        )
         self._collection = collection
-        self._segmented = isinstance(collection, SegmentedRRCollection)
-        if self._segmented:
-            self._mem_indptr = None
-            self._mem_indices = None
-        else:
-            # Inverted CSR index (node v's RR-set ids occupy the slice
-            # [_mem_indptr[v], _mem_indptr[v+1]) of _mem_indices), built
-            # directly from the collection's packed arrays: the stable
-            # inversion keeps each node's RR-set ids in increasing order,
-            # exactly as the per-set append loop did.
-            self._mem_indptr, self._mem_indices, _ = invert_csr(
-                collection.set_indptr, collection.set_indices,
-                collection.num_nodes,
-            )
-        self._root_groups = collection.root_groups
-        self._group_counts = collection.group_counts.astype(float)
         # Graph binding, set by from_graph: refresh() needs the source
         # graph, its version at sampling time and the sampling config to
         # repair or (on unreplayable deltas) resample.
         self._graph: Optional[Graph] = None
         self._graph_version: Optional[int] = None
-        self._sample_entropy = 0
-        self._num_samples = 0
-        self._stratified = True
-        self._workers: Optional[int] = None
-        # The resolved set, fixed when the objective is built: the gains
-        # oracles run thousands of times a solve.
-        self._kernel_set = get_kernel()
-        self._store = "mmap" if self._segmented else "ram"
-        self._memory_budget: Optional[int] = None
-        self._backend: Optional[ArrayBackend] = (
-            collection.store.backend if self._segmented else None
-        )
 
     def _bind_graph(
         self,
@@ -144,7 +101,7 @@ class InfluenceObjective(GroupedObjective):
     @classmethod
     def from_collection(
         cls,
-        collection: RRCollection,
+        collection: AnyRRCollection,
         population_sizes: Sequence[int],
     ) -> "InfluenceObjective":
         """Alias of the constructor (kept for API symmetry)."""
@@ -216,7 +173,7 @@ class InfluenceObjective(GroupedObjective):
         return cls.from_collection(imm.collection, graph.group_sizes())
 
     @property
-    def collection(self) -> RRCollection:
+    def collection(self) -> AnyRRCollection:
         return self._collection
 
     @property
@@ -231,46 +188,26 @@ class InfluenceObjective(GroupedObjective):
     def memory_bytes(self) -> int:
         """Approximate *resident* size of the sampled state.
 
-        Counts the packed collection plus the inverted index — the
-        arrays that dominate a warm influence objective. Used by the
+        Counts the collection's resident bytes (for a flat one, the
+        packed sets plus the inverted index — the arrays that dominate a
+        warm influence objective) and the per-group arrays. Used by the
         byte-budgeted caches (:mod:`repro.utils.caching`) to account
-        entries. For a segmented collection only heap-resident bytes
-        count: the segment arrays are file-backed and reclaimable, which
-        is what lets one warm session serve collections far larger than
-        its cache budget.
+        entries. A segmented collection counts only heap-resident bytes:
+        its segment arrays are file-backed and reclaimable, which is
+        what lets one warm session serve collections far larger than its
+        cache budget.
         """
-        collection = self._collection
-        if self._segmented:
-            return int(
-                collection.store.resident_bytes()
-                + collection.root_groups.nbytes
-                + collection.group_counts.nbytes
-                + self._group_counts.nbytes
-                + self._group_sizes.nbytes
-            )
         return int(
-            resident_nbytes(collection.set_indptr)
-            + resident_nbytes(collection.set_indices)
-            + collection.root_groups.nbytes
-            + self._mem_indptr.nbytes
-            + self._mem_indices.nbytes
-            + self._group_counts.nbytes
+            self._collection.resident_bytes()
+            + self._denominators.nbytes
             + self._group_sizes.nbytes
         )
 
     def storage_info(self) -> dict[str, int | str]:
         """Storage-tier summary (the service ``stats`` op embeds this)."""
-        if self._segmented:
-            info = dict(self._collection.store.storage_info())
-            info["resident_bytes"] = self.memory_bytes()
-            return info
-        return {
-            "store_kind": "ram",
-            "segments": 0,
-            "num_sets": self._collection.num_sets,
-            "resident_bytes": self.memory_bytes(),
-            "on_disk_bytes": 0,
-        }
+        info = self._collection.storage_info()
+        info["resident_bytes"] = self.memory_bytes()
+        return info
 
     # -- incremental repair ----------------------------------------------
     def refresh(self, graph: Optional[Graph] = None) -> RepairResult:
@@ -278,9 +215,10 @@ class InfluenceObjective(GroupedObjective):
 
         Reads the graph's mutation log since the version this objective
         was sampled at. When the delta is replayable, only the affected
-        RR sets are regenerated and spliced in
-        (:func:`repro.influence.ris.repair_rr_collection`) and the CSR
-        inverted index is patched in place; when it is not (whole-graph
+        RR sets are regenerated and spliced in by one ``replace_sets``
+        call on the collection
+        (:func:`repro.influence.ris.repair_rr_collection`), which keeps
+        its own inverted index consistent; when it is not (whole-graph
         rewrite, log overflow), the collection is resampled from scratch
         under the same configuration. Either way the objective ends
         consistent with the current graph, and :attr:`repair_epoch` is
@@ -331,21 +269,14 @@ class InfluenceObjective(GroupedObjective):
                 workers=self._workers,
                 store=self._store,
                 memory_budget=self._memory_budget,
-                backend=self._backend,
+                backend=self._collection.backend,
             )
             self._collection = collection
-            self._segmented = isinstance(collection, SegmentedRRCollection)
-            if self._segmented:
-                self._mem_indptr = None
-                self._mem_indices = None
-            else:
-                self._mem_indptr, self._mem_indices, _ = invert_csr(
-                    collection.set_indptr,
-                    collection.set_indices,
-                    collection.num_nodes,
-                )
-            self._root_groups = collection.root_groups
-            self._group_counts = collection.group_counts.astype(float)
+            self._bind_incidence(
+                collection,
+                collection.root_groups,
+                collection.group_counts.astype(float),
+            )
             result = RepairResult(
                 np.zeros(0, dtype=np.int64),
                 collection.num_sets,
@@ -355,129 +286,7 @@ class InfluenceObjective(GroupedObjective):
             result = repair_rr_collection(
                 self._collection, graph, delta, seed, workers=self._workers
             )
-            # The segmented store re-inverts the rewritten segments
-            # inside replace_sets; only the flat index needs patching.
-            if result.affected.size and not self._segmented:
-                self._repair_inverted_index(result.affected)
         self._graph_version = to_version
         if result.sets_repaired:
             self._advance_version()
         return result
-
-    def _repair_inverted_index(self, affected: np.ndarray) -> None:
-        """Patch the node -> RR-set-ids CSR after a splice.
-
-        Entries are identified by flat ``node * num_sets + set_id`` keys,
-        which the index stores in globally increasing order (nodes
-        ascending, set ids ascending within a node). Surviving keys
-        (set id not affected) and replacement keys (set id affected, read
-        from the spliced collection) are disjoint by construction, so one
-        :func:`repro.utils.csr.merge_sorted_disjoint` pass rebuilds the
-        packed entries without the stable sort a full
-        :func:`invert_csr` would pay.
-        """
-        collection = self._collection
-        num_sets = collection.num_sets
-        n = collection.num_nodes
-        affected_mask = np.zeros(num_sets, dtype=bool)
-        affected_mask[affected] = True
-        entry_nodes = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(self._mem_indptr)
-        )
-        keep = ~affected_mask[self._mem_indices]
-        kept_keys = entry_nodes[keep] * num_sets + self._mem_indices[keep]
-        positions, owners = gather_csr_slices(collection.set_indptr, affected)
-        new_keys = (
-            collection.set_indices[positions] * num_sets + affected[owners]
-        )
-        new_keys.sort()
-        merged = merge_sorted_disjoint(kept_keys, new_keys)
-        self._mem_indices = merged % num_sets
-        self._mem_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(merged // num_sets, minlength=n),
-            out=self._mem_indptr[1:],
-        )
-
-    # -- GroupedObjective hooks ------------------------------------------
-    def _new_payload(self) -> _InfluencePayload:
-        return _InfluencePayload(self._collection.num_sets)
-
-    def _copy_payload(self, payload: _InfluencePayload) -> _InfluencePayload:
-        return payload.copy()
-
-    def _member_ids(self, item: int) -> np.ndarray:
-        """RR-set ids containing ``item``, sorted ascending.
-
-        Flat: a view into the inverted CSR. Segmented: the concatenation
-        of the per-segment inverted slices — the same ids in the same
-        order (segment starts increase and per-segment slices are
-        sorted).
-        """
-        if self._segmented:
-            return self._collection.store.member_ids(item)
-        return self._mem_indices[
-            self._mem_indptr[item]:self._mem_indptr[item + 1]
-        ]
-
-    def _gains(self, payload: _InfluencePayload, item: int) -> np.ndarray:
-        ids = self._member_ids(item)
-        counts = self._kernel_set.gains_rescore(
-            ids, payload.covered, self._root_groups, self.num_groups
-        )
-        return counts / self._group_counts
-
-    def _gains_batch(
-        self, payload: _InfluencePayload, items: np.ndarray
-    ) -> np.ndarray:
-        if self._segmented:
-            # Fold integer fresh-coverage counts segment by segment
-            # (pages released after each segment): int64 sums are exact,
-            # so the resulting gain matrix — and every downstream greedy
-            # selection — is bitwise the flat path's.
-            counts = self._collection.store.fold_group_counts(
-                items,
-                payload.covered,
-                self._root_groups,
-                self.num_groups,
-            )
-            return counts / self._group_counts
-        counts = self._kernel_set.group_counts(
-            self._mem_indptr,
-            self._mem_indices,
-            items,
-            payload.covered,
-            self._root_groups,
-            self.num_groups,
-        )
-        return counts / self._group_counts
-
-    def _gains_states(
-        self, payloads: Sequence[_InfluencePayload], item: int
-    ) -> np.ndarray:
-        # One node vs many seed-set states: gather the node's RR-set ids
-        # once, stack the per-state hit flags on those ids only, and
-        # count the fresh roots per (state, group) cell with one flat
-        # bincount — the multi-state twin of the CSR pool batch.
-        ids = self._member_ids(item)
-        num_states = len(payloads)
-        if ids.size == 0 or num_states == 0:
-            return np.zeros((num_states, self.num_groups), dtype=float)
-        fresh = np.empty((num_states, ids.size), dtype=bool)
-        for r, payload in enumerate(payloads):
-            np.take(payload.covered, ids, out=fresh[r])
-        np.logical_not(fresh, out=fresh)
-        root_labels = self._root_groups[ids]
-        bins = (
-            np.arange(num_states)[:, None] * self.num_groups
-            + root_labels[None, :]
-        )
-        counts = np.bincount(
-            bins[fresh], minlength=num_states * self.num_groups
-        ).reshape(num_states, self.num_groups)
-        return counts / self._group_counts
-
-    def _apply(self, payload: _InfluencePayload, item: int) -> np.ndarray:
-        gains = self._gains(payload, item)
-        payload.covered[self._member_ids(item)] = True
-        return gains

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.functions import GroupedObjective
+from repro.core.functions import GroupedObjective, partition_sizes
 from repro.errors import GroupPartitionError
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive_int
@@ -112,17 +112,7 @@ class RecommendationObjective(GroupedObjective):
         if np.any(matrix < 0.0) or np.any(matrix > 1.0):
             raise ValueError("relevance entries must lie in [0, 1]")
         labels = np.asarray(user_groups, dtype=np.int64)
-        if labels.shape != (matrix.shape[0],):
-            raise GroupPartitionError(
-                f"user_groups must have length {matrix.shape[0]}, "
-                f"got {labels.shape}"
-            )
-        if labels.size == 0 or labels.min() < 0:
-            raise GroupPartitionError("group labels must be non-negative")
-        sizes = np.bincount(labels)
-        if np.any(sizes == 0):
-            raise GroupPartitionError("group labels must be contiguous 0..c-1")
-        super().__init__(matrix.shape[1], sizes)
+        super().__init__(matrix.shape[1], partition_sizes(labels, matrix.shape[0]))
         # Item-major copy (one contiguous row of user probabilities per
         # item), so the oracles gather whole rows.
         self._relevance_t = np.ascontiguousarray(matrix.T)

@@ -25,8 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.functions import GroupedObjective
-from repro.errors import GroupPartitionError
+from repro.core.functions import GroupedObjective, partition_sizes
 
 
 def _distances(points: np.ndarray, exemplars: np.ndarray) -> np.ndarray:
@@ -84,16 +83,7 @@ class SummarizationObjective(GroupedObjective):
                 f"points must be a non-empty 2-d array, got shape {data.shape}"
             )
         labels = np.asarray(user_groups, dtype=np.int64)
-        if labels.shape != (data.shape[0],):
-            raise GroupPartitionError(
-                f"user_groups must have length {data.shape[0]}, "
-                f"got {labels.shape}"
-            )
-        if labels.min() < 0:
-            raise GroupPartitionError("group labels must be non-negative")
-        sizes = np.bincount(labels)
-        if np.any(sizes == 0):
-            raise GroupPartitionError("group labels must be contiguous 0..c-1")
+        sizes = partition_sizes(labels, data.shape[0])
         if phantom_scale < 1.0:
             raise ValueError(
                 f"phantom_scale must be >= 1 for monotone loss reduction, "

@@ -291,10 +291,12 @@ class ServiceEngine:
     class _WarmProbe:
         """Measure whether an op actually reused paid-for state.
 
-        ``warm`` is true only when the session pre-existed *and* the op
-        scored at least one hit on the watched caches while it ran — a
-        solve that triggers a fresh sampling pass (say, a new
-        ``im_samples``) reports cold even on a warm session.
+        ``warm`` is true only when the session pre-existed, the op
+        scored at least one hit on the watched caches while it ran, *and*
+        it caused no objective-cache miss — a solve that triggers a fresh
+        sampling pass (say, a new ``im_samples``) reports cold even on a
+        warm session, and so does a sweep whose later rows hit the
+        evaluation entries its own fresh sample just built.
         """
 
         def __init__(
@@ -304,6 +306,7 @@ class ServiceEngine:
             self._reused = reused
             self._caches = caches
             self._before = [cache.stats.hits for cache in caches]
+            self._misses = session.objective_cache.stats.misses
 
         @property
         def warm(self) -> bool:
@@ -311,6 +314,8 @@ class ServiceEngine:
                 return False
             if self._session.dataset.kind != "influence":
                 return True
+            if self._session.objective_cache.stats.misses > self._misses:
+                return False
             return any(
                 cache.stats.hits > before
                 for cache, before in zip(self._caches, self._before)

@@ -1,10 +1,12 @@
 """Segmented, append-only RR-set store with per-segment inverted indexes.
 
 The flat :class:`repro.influence.ris.RRCollection` holds the whole
-packed collection (and the objective layer its whole inverted index) as
-single arrays, so the working set is O(total entries) no matter what is
-being computed. This store cuts the collection into fixed-byte-budget
-*segments* as sampling streams in:
+packed collection and its whole node -> RR-set inverted index as single
+arrays, so the working set is O(total entries) no matter what is being
+computed. This store cuts the collection into fixed-byte-budget
+*segments* as sampling streams in, and
+:class:`repro.influence.ris.SegmentedRRCollection` answers the flat
+collection's interface by delegating to it:
 
 * each segment holds its own packed ``(set_indptr, set_indices)`` slice
   (local row ids, ``start`` gives the global id of row 0) plus its own

@@ -290,10 +290,10 @@ class TestGainsBatchParity:
         objective = _coverage()
         state = _partial_state(objective)
         before = state.group_values.copy()
-        payload_covered = state.payload.covered.copy()
+        payload_covered = state.payload.copy()
         objective.gains_batch(state, list(range(objective.num_items)))
         np.testing.assert_array_equal(state.group_values, before)
-        np.testing.assert_array_equal(state.payload.covered, payload_covered)
+        np.testing.assert_array_equal(state.payload, payload_covered)
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,7 @@ class TestObjectiveKernelResolution:
         def no_lookup(name=None):
             raise AssertionError("gains oracle re-resolved its kernel")
 
-        for module in ("repro.problems.coverage", "repro.problems.influence"):
+        for module in ("repro.problems.coverage", "repro.influence.ris"):
             monkeypatch.setattr(f"{module}.get_kernel", no_lookup)
         self._solve_all(objectives)
 

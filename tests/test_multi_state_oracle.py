@@ -130,13 +130,13 @@ class TestGainsStatesParity:
         objective = DOMAINS["coverage"]()
         states = _states_for(objective)
         before_values = [s.group_values.copy() for s in states]
-        before_covered = [s.payload.covered.copy() for s in states]
+        before_covered = [s.payload.copy() for s in states]
         objective.gains_states(states, objective.num_items - 1)
         for state, values, covered in zip(
             states, before_values, before_covered
         ):
             np.testing.assert_array_equal(state.group_values, values)
-            np.testing.assert_array_equal(state.payload.covered, covered)
+            np.testing.assert_array_equal(state.payload, covered)
 
     def test_duplicate_states_allowed(self):
         objective = DOMAINS["facility"]()

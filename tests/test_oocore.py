@@ -537,3 +537,87 @@ class TestSegmentedRepair:
         result = seg.refresh()
         assert result.sets_repaired == 0
         assert not result.full_resample
+
+
+# ---------------------------------------------------------------------------
+# One collection interface on both tiers
+# ---------------------------------------------------------------------------
+#: RR sets enough for a 1 MiB segment budget to cut the collection twice.
+#: With ``workers`` set, both tiers store bitwise the same sets.
+PARITY_SAMPLES = 20_000
+
+
+def _tier_pair():
+    graph = load_dataset("rand-im-c2", seed=0).graph
+    kwargs = dict(seed=7, workers=2)
+    flat = InfluenceObjective.from_graph(graph, PARITY_SAMPLES, **kwargs)
+    seg = InfluenceObjective.from_graph(
+        graph, PARITY_SAMPLES, store="mmap", memory_budget=1 << 20, **kwargs
+    )
+    return graph, flat, seg
+
+
+def _assert_tiers_agree(graph, flat, seg):
+    rng = np.random.default_rng(5)
+    for node in range(graph.num_nodes):
+        assert np.array_equal(flat.member_ids(node), seg.member_ids(node))
+    items = np.arange(graph.num_nodes, dtype=np.int64)
+    covered = rng.random(flat.num_sets) < 0.3
+    assert np.array_equal(
+        flat.fold_group_counts(items, covered),
+        seg.fold_group_counts(items, covered),
+    )
+    node_mask = rng.random(graph.num_nodes) < 0.05
+    assert np.array_equal(flat.sets_hitting(node_mask), seg.sets_hitting(node_mask))
+    ids = np.flatnonzero(rng.random(flat.num_sets) < 0.01)
+    assert np.array_equal(flat.roots_of(ids), seg.roots_of(ids))
+
+
+class TestTierParity:
+    def test_collection_queries_agree(self):
+        graph, flat, seg = _tier_pair()
+        assert seg.storage_info()["segments"] >= 2
+        _assert_tiers_agree(graph, flat.collection, seg.collection)
+
+    def test_replace_sets_patches_the_flat_index_and_keeps_tiers_equal(self):
+        graph, flat_objective, seg_objective = _tier_pair()
+        flat, seg = flat_objective.collection, seg_objective.collection
+        # Every 97th set: the replaced rows span both segments.
+        ids = np.arange(0, flat.num_sets, 97, dtype=np.int64)
+        sub_indptr, sub_indices = sample_rr_sets_batch(
+            graph.transpose_adjacency(),
+            flat.roots_of(ids),
+            np.random.default_rng(3),
+        )
+        flat.replace_sets(ids, sub_indptr, sub_indices)
+        seg.replace_sets(ids, sub_indptr, sub_indices)
+        inv_indptr, inv_rows, _ = invert_csr(
+            flat.set_indptr, flat.set_indices, flat.num_nodes
+        )
+        assert np.array_equal(flat._mem_indptr, inv_indptr)
+        assert np.array_equal(flat._mem_indices, inv_rows)
+        _assert_tiers_agree(graph, flat, seg)
+
+    def test_memory_accounting_is_unchanged(self):
+        # The byte-budgeted session caches evict on memory_bytes(), and
+        # the stats op sums storage_info(): these are the values the
+        # objective reported when it held the flat inverted index itself.
+        _, flat, seg = _tier_pair()
+        assert flat.memory_bytes() == 1_529_072
+        assert flat.storage_info() == {
+            "store_kind": "ram",
+            "segments": 0,
+            "num_sets": 20_000,
+            "resident_bytes": 1_529_072,
+            "on_disk_bytes": 0,
+        }
+        assert seg.memory_bytes() == 160_048
+        assert seg.storage_info() == {
+            "store_kind": "mmap",
+            "segments": 2,
+            "segment_bytes": 1 << 20,
+            "num_sets": 20_000,
+            "total_entries": 75_514,
+            "resident_bytes": 160_048,
+            "on_disk_bytes": 1_369_856,
+        }

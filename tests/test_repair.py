@@ -224,7 +224,7 @@ class TestRepairMechanics:
         _mutate_arcs(graph, 4)
         result = objective.refresh()
         assert result.sets_repaired > 0
-        patched = (objective._mem_indptr, objective._mem_indices)
+        patched = (objective.collection._mem_indptr, objective.collection._mem_indices)
         for got, expected in zip(patched, _rebuilt_index(objective)):
             np.testing.assert_array_equal(got, expected)
 
@@ -254,7 +254,7 @@ class TestRepairMechanics:
         assert objective.repair_epoch == epoch + 1
         assert objective.graph_version == graph.version
         for got, expected in zip(
-            (objective._mem_indptr, objective._mem_indices),
+            (objective.collection._mem_indptr, objective.collection._mem_indices),
             _rebuilt_index(objective),
         ):
             np.testing.assert_array_equal(got, expected)

@@ -261,6 +261,11 @@ class TestPackedCollection:
         with pytest.raises(ValueError):
             RRCollection(root_groups=np.array([0]), num_nodes=2, num_groups=1)
 
+    def test_rejects_nodes_outside_the_ground_set(self):
+        with pytest.raises(ValueError, match="outside"):
+            RRCollection(sets=[np.array([0, 2])], root_groups=np.array([0]),
+                         num_nodes=2, num_groups=1)
+
     def test_concat_packed(self):
         a = (np.array([0, 2, 3]), np.array([4, 5, 6]))
         b = (np.array([0, 1]), np.array([7]))

@@ -106,6 +106,21 @@ def test_sweep_warm_follows_the_solve_rule():
     assert engine.handle(_pareto()).warm is True
 
 
+def test_a_sweep_that_samples_afresh_is_cold():
+    # Its later rows hit evaluation entries that its own earlier rows
+    # built on the fresh sample; those hits do not make it warm.
+    engine = ServiceEngine()
+    solve = SolveRequest(dataset=IM_DATASET, k=3, algorithm="greedy", im_samples=200)
+    assert engine.handle(solve).ok
+    sweep = _sweep(
+        values=(0.1, 0.11, 0.12, 0.13),
+        algorithms=("BSM-TSGreedy",),
+        mc_simulations=20,
+    )
+    assert engine.handle(sweep).warm is False
+    assert engine.handle(sweep).warm is True
+
+
 def test_static_sweep_warm_is_session_reuse():
     engine = ServiceEngine()
     sweep = _sweep(dataset="rand-mc-c2")
